@@ -7,12 +7,10 @@ warm-up call that populates the context caches.  Rendered paper-style
 output is printed (run with ``-s`` to see it inline; it is also what
 EXPERIMENTS.md records).
 
-The simulation itself honours two opt-in environment knobs (both
-byte-identical to the default; see docs/PERFORMANCE.md):
-
-* ``REPRO_SIM_WORKERS=N`` — shard the calendar across N processes.
-* ``REPRO_ARTIFACT_CACHE=DIR`` — persist/load simulated days in DIR,
-  so a second bench session skips the simulation entirely.
+The simulation honours the opt-in ``REPRO_ARTIFACT_CACHE=DIR`` knob
+(byte-identical to the default; see docs/PERFORMANCE.md): simulated
+days persist in DIR, so a second bench session skips the simulation
+entirely.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ from repro.core.interning import (DayDigest, NameTable, StreamColumns,
 from repro.core.labeling import LabeledZone, TrainingSet, build_training_set
 from repro.core.miner import (DisposableZoneFinding, DisposableZoneMiner,
                               MinerConfig)
-from repro.core.mining_pipeline import (CalendarMiner, MinerResultCache,
-                                        mine_day, miner_result_key)
 from repro.core.names import labels, nld, normalize, shannon_entropy
 from repro.core.numeric import approx_eq, is_zero
 from repro.core.profile import (GroupProfile, ZoneProfile, ZoneProfiler,
@@ -37,7 +35,6 @@ __all__ = [
     "DayDigest", "NameTable", "StreamColumns", "build_day_digest",
     "LabeledZone", "TrainingSet", "build_training_set",
     "DisposableZoneFinding", "DisposableZoneMiner", "MinerConfig",
-    "CalendarMiner", "MinerResultCache", "mine_day", "miner_result_key",
     "labels", "nld", "normalize", "shannon_entropy",
     "approx_eq", "is_zero",
     "GroupProfile", "ZoneProfile", "ZoneProfiler", "lad_tree_attribution",

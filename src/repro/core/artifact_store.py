@@ -1,23 +1,23 @@
 """Content-addressed on-disk artifact store.
 
-Both persistence layers — the fpDNS artifact cache
-(:mod:`repro.traffic.artifacts`) and the miner result cache
-(:mod:`repro.core.mining_pipeline`) — need the same filesystem
-mechanics: a directory of blobs named by content-hash key, atomic
-publication, corrupt-blob-is-a-miss load semantics, hit/miss counters,
-size accounting and an LRU prune policy.  :class:`ArtifactStore`
+Both on-disk layers — the fpDNS artifact cache
+(:mod:`repro.traffic.artifacts`) and the segmented pdns store
+(:mod:`repro.pdns.store`) — need the same filesystem mechanics: a
+directory of blobs named by content-hash key, atomic publication,
+corrupt-blob-is-a-miss load semantics, hit/miss counters, size
+accounting and an LRU prune policy.  :class:`ArtifactStore`
 implements exactly that once, at the bottom of the layering DAG; the
-caches supply only their key derivation (see :mod:`repro.core.keys`)
+callers supply only their key derivation (see :mod:`repro.core.keys`)
 and their encode/decode codecs.
 
 Atomicity and concurrency
 -------------------------
 Every write goes to a **per-process unique** temp file in the store
 directory (``tempfile.mkstemp``) and is published with ``os.replace``.
-Two processes storing the same key concurrently (e.g.
-:class:`~repro.core.mining_pipeline.CalendarMiner` workers sharing a
-cache directory) therefore never clobber each other mid-write: each
-writes its own temp file, and the last ``os.replace`` wins atomically.
+Two processes storing the same key concurrently (e.g. two sessions
+sharing a cache directory) therefore never clobber each other
+mid-write: each writes its own temp file, and the last ``os.replace``
+wins atomically.
 A fixed temp name (``<key>.tmp``) would let the second writer truncate
 the first one's half-written file — reprolint rule R008
 (``atomic-cache-publish``) statically flags cache writes that skip
@@ -37,8 +37,8 @@ Prune policy
 :func:`prune_directory` behind the ``repro cache`` CLI) removes
 least-recently-used blobs until the store fits a byte budget.  Pruning
 only ever affects wall-clock time of later sessions — a pruned day is
-re-simulated or re-mined bit-identically — so the policy is free to be
-operational rather than deterministic.
+re-simulated bit-identically — so the policy is free to be operational
+rather than deterministic.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ class ArtifactStore:
         self.hits += 1
         self._mark_used(path)
         return value
-
-    def load_bytes(self, key: str) -> Optional[bytes]:
-        """Raw blob bytes for ``key``, or ``None`` (counted as a miss).
-
-        The identity-codec convenience for callers that do their own
-        decoding — e.g. the column-spill IPC transport
-        (:mod:`repro.core.ipc`), whose packed buffers are validated by
-        the unpacker rather than here.
-        """
-        return self.load(key, lambda data: data)
 
     def _mark_used(self, path: Path) -> None:
         """Refresh mtime so prune order tracks recency of use."""

@@ -24,13 +24,13 @@ Every downstream consumer (:func:`repro.core.hitrate.hit_rates_from_digest`,
 reduces over these columns with numpy instead of re-iterating entries.
 The legacy per-entry paths remain in place as the oracle; the digest
 path is provably equivalent (``tests/core/test_interning.py``,
-``tests/core/test_mining_pipeline.py``).
+``tests/core/test_ranking.py``).
 
 Determinism: ids are assigned in first-appearance order over
 ``below`` then ``above`` — a pure function of the data, identical in
 every process (unlike ``set`` iteration order, which varies with the
 per-process string hash seed).  Everything derived from the digest is
-therefore reproducible across worker processes and cache replays.
+therefore reproducible across processes and cache replays.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from repro.core.suffix import SuffixList
 
 __all__ = ["NameTable", "StreamColumns", "DayDigest", "build_day_digest",
            "digest_of", "encode_string_pool", "decode_string_pool",
-           "RRTYPE_CODES", "RRTYPE_BY_CODE", "STREAM_FIELDS",
-           "SHARD_STREAM_FIELDS", "MergedShardDay", "merge_shard_columns"]
+           "RRTYPE_CODES", "RRTYPE_BY_CODE", "STREAM_FIELDS"]
 
 #: Fixed encoding of RR types into small ints for the qtype column —
 #: also the on-disk encoding of :mod:`repro.pdns.columnar`, so the
@@ -533,204 +532,6 @@ class DayDigest:
         rr_nids = self.rr_name_ids[np.nonzero(counts)[0]]
         rrs = int(np.count_nonzero(mask[rr_nids]))
         return queried, resolved, rrs
-
-
-#: Per-row fields one shard ships for one stream — :data:`STREAM_FIELDS`
-#: plus the generating-event sequence tag (the k-way merge key) and the
-#: non-answer rdata ids (exact entry round-trip).  Part of the shard
-#: IPC contract of :mod:`repro.traffic.parallel`.
-SHARD_STREAM_FIELDS: Tuple[str, ...] = STREAM_FIELDS + ("seqs",
-                                                        "xrdata_ids")
-
-
-def _first_appearance(ids: np.ndarray, n: int) -> Tuple[np.ndarray,
-                                                        np.ndarray]:
-    """Renumber interim ids by first appearance in ``ids``.
-
-    Returns ``(order, rank)``: ``order`` lists interim ids by first
-    occurrence position and ``rank[interim]`` is the final dense id —
-    exactly the numbering an entry-at-a-time interning pass over the
-    same row sequence would assign, computed vectorised.
-    """
-    first = np.full(n, ids.size, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(ids.size, dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    return order, rank
-
-
-def _remap_signed(remap: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Apply ``remap`` to ``ids`` passing ``-1`` sentinels through."""
-    extended = np.concatenate([remap,
-                               np.array([-1], dtype=remap.dtype)])
-    return extended[np.where(ids >= 0, ids, len(remap))]
-
-
-def _intern_pool(strings: List[str], pool: Dict[str, int],
-                 values: List[str]) -> np.ndarray:
-    """Fold one shard's string pool into the global pool; returns the
-    local-id -> interim-global-id remap array."""
-    remap = np.empty(len(strings), dtype=np.int64)
-    for local_id, value in enumerate(strings):
-        interim = pool.get(value)
-        if interim is None:
-            interim = len(values)
-            pool[value] = interim
-            values.append(value)
-        remap[local_id] = interim
-    return remap
-
-
-@dataclass
-class MergedShardDay:
-    """One day merged from shard columns: the digest plus the
-    non-answer rdata columns exact entry round-trip needs."""
-
-    digest: DayDigest
-    below_xrdata_ids: np.ndarray
-    above_xrdata_ids: np.ndarray
-    xrdata_strings: List[str]
-
-
-def merge_shard_columns(day: str,
-                        shards: Sequence[Dict[str, np.ndarray]]
-                        ) -> MergedShardDay:
-    """Deterministic ``(timestamp, seq)`` k-way merge at the column
-    level.
-
-    ``shards`` are the per-shard column dicts of
-    :class:`repro.traffic.parallel.ShardColumnsBuilder` (local name/
-    rdata pools, local RR tables, per-stream
-    :data:`SHARD_STREAM_FIELDS` arrays).  Event-sequence tags are
-    disjoint across shards and each shard's streams are already
-    ``(timestamp, seq)``-sorted, so a stable lexsort over the
-    concatenation restores exactly the serial interleaving — the same
-    contract the old entry-level ``heapq.merge`` provided, minus the
-    per-entry Python objects.
-
-    The resulting digest is *identical* to
-    ``build_day_digest(serial_dataset)``: name and RR ids are
-    renumbered to first-appearance order over the merged below stream
-    then the merged above stream, which is precisely the order the
-    entry-at-a-time interning pass assigns
-    (``tests/traffic/test_parallel.py`` pins column equality).
-    """
-    # -- 1. fold shard-local pools into interim global pools ------------
-    name_pool: Dict[str, int] = {}
-    name_values: List[str] = []
-    rdata_pool: Dict[str, int] = {}
-    rdata_values: List[str] = []
-    xrdata_pool: Dict[str, int] = {}
-    xrdata_values: List[str] = []
-    name_remaps: List[np.ndarray] = []
-    rr_remaps: List[np.ndarray] = []
-    xrdata_remaps: List[np.ndarray] = []
-    rr_ids: Dict[Tuple[int, int, int], int] = {}
-    rr_rows: List[Tuple[int, int, int]] = []
-    for columns in shards:
-        name_remap = _intern_pool(
-            decode_string_pool(columns["names_blob"],
-                               columns["names_offsets"]),
-            name_pool, name_values)
-        rdata_remap = _intern_pool(
-            decode_string_pool(columns["rdata_blob"],
-                               columns["rdata_offsets"]),
-            rdata_pool, rdata_values)
-        xrdata_remaps.append(_intern_pool(
-            decode_string_pool(columns["xrdata_blob"],
-                               columns["xrdata_offsets"]),
-            xrdata_pool, xrdata_values))
-        name_remaps.append(name_remap)
-        rr_remap = np.empty(len(columns["rr_name_ids"]), dtype=np.int64)
-        for local_rid, (local_nid, qtype_code, local_rdid) in enumerate(
-                zip(columns["rr_name_ids"].tolist(),
-                    columns["rr_qtypes"].tolist(),
-                    columns["rr_rdata_ids"].tolist())):
-            key = (int(name_remap[local_nid]), int(qtype_code),
-                   int(rdata_remap[local_rdid]))
-            interim = rr_ids.get(key)
-            if interim is None:
-                interim = len(rr_rows)
-                rr_ids[key] = interim
-                rr_rows.append(key)
-            rr_remap[local_rid] = interim
-        rr_remaps.append(rr_remap)
-
-    # -- 2. concatenate, remap to interim ids, restore serial order -----
-    merged: Dict[str, Dict[str, np.ndarray]] = {}
-    for prefix in ("below", "above"):
-        parts: Dict[str, List[np.ndarray]] = {
-            field: [] for field in SHARD_STREAM_FIELDS}
-        for shard_index, columns in enumerate(shards):
-            for field in SHARD_STREAM_FIELDS:
-                array = columns[f"{prefix}_{field}"]
-                if field == "name_ids":
-                    array = name_remaps[shard_index][array]
-                elif field == "rr_ids":
-                    array = _remap_signed(rr_remaps[shard_index], array)
-                elif field == "xrdata_ids":
-                    array = _remap_signed(xrdata_remaps[shard_index],
-                                          array)
-                parts[field].append(array)
-        stream = {field: np.concatenate(parts[field])
-                  for field in SHARD_STREAM_FIELDS}
-        if len(shards) > 1:
-            # Stable sort: rows of one response share (timestamp, seq)
-            # and must keep their shard-local (generation) order; seqs
-            # are disjoint across shards so ties never cross shards.
-            perm = np.lexsort((stream["seqs"], stream["timestamps"]))
-            stream = {field: array[perm]
-                      for field, array in stream.items()}
-        merged[prefix] = stream
-
-    # -- 3. renumber names/RRs to first-appearance (serial) order -------
-    all_name_ids = np.concatenate([merged["below"]["name_ids"],
-                                   merged["above"]["name_ids"]])
-    name_order, name_rank = _first_appearance(all_name_ids,
-                                              len(name_values))
-    all_rr_ids = np.concatenate([merged["below"]["rr_ids"],
-                                 merged["above"]["rr_ids"]])
-    rr_order, rr_rank = _first_appearance(all_rr_ids[all_rr_ids >= 0],
-                                          len(rr_rows))
-    final_names = [name_values[int(interim)] for interim in name_order]
-    names = NameTable.from_names(final_names)
-    rr_keys: List[RRKey] = []
-    rr_name_ids = np.empty(len(rr_rows), dtype=np.int64)
-    for final_rid, interim in enumerate(rr_order.tolist()):
-        interim_nid, qtype_code, interim_rdid = rr_rows[interim]
-        final_nid = int(name_rank[interim_nid])
-        rr_keys.append((final_names[final_nid],
-                        RRTYPE_BY_CODE[qtype_code],
-                        rdata_values[interim_rdid]))
-        rr_name_ids[final_rid] = final_nid
-
-    streams: Dict[str, StreamColumns] = {}
-    xrdata_columns: Dict[str, np.ndarray] = {}
-    for prefix in ("below", "above"):
-        stream = merged[prefix]
-        streams[prefix] = StreamColumns(
-            timestamps=np.ascontiguousarray(stream["timestamps"],
-                                            dtype=np.float64),
-            name_ids=name_rank[stream["name_ids"]].astype(np.int32),
-            rr_ids=_remap_signed(rr_rank,
-                                 stream["rr_ids"]).astype(np.int32),
-            client_ids=np.ascontiguousarray(stream["client_ids"],
-                                            dtype=np.int64),
-            rcodes=np.ascontiguousarray(stream["rcodes"],
-                                        dtype=np.int16),
-            qtypes=np.ascontiguousarray(stream["qtypes"],
-                                        dtype=np.int16),
-            ttls=np.ascontiguousarray(stream["ttls"], dtype=np.int64))
-        xrdata_columns[prefix] = np.ascontiguousarray(
-            stream["xrdata_ids"], dtype=np.int32)
-    digest = DayDigest(day=day, names=names, rr_keys=rr_keys,
-                       rr_name_ids=rr_name_ids,
-                       below=streams["below"], above=streams["above"])
-    return MergedShardDay(digest=digest,
-                          below_xrdata_ids=xrdata_columns["below"],
-                          above_xrdata_ids=xrdata_columns["above"],
-                          xrdata_strings=list(xrdata_values))
 
 
 def build_day_digest(dataset: FpDnsDataset) -> DayDigest:

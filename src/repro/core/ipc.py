@@ -1,70 +1,27 @@
-"""Zero-copy column transport between worker processes.
+"""RCOL1: one self-describing buffer of numpy columns.
 
-The measured failure mode of the first parallel engines (ROADMAP,
-``BENCH_simulator.json``: 0.18x serial at 4 workers) was the IPC
-payload: every worker pickled hundreds of thousands of per-entry
-tuples back to the coordinator, so the pool spent its wall-clock
-serialising Python objects instead of simulating DNS traffic.  This
-module ships the *columns* instead — the same numpy arrays the
-fpDNS-v2 artifact format persists — through one of two transports:
-
-* **shared memory** (:data:`IPC_SHM`, the default where available) —
-  the producer packs its column dict into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment; the
-  consumer maps the segment and reads the arrays as zero-copy views.
-  The only cross-process cost is one memcpy into the segment.
-* **artifact spill** (:data:`IPC_SPILL`) — the producer stores the
-  packed blob through a shared
-  :class:`~repro.core.artifact_store.ArtifactStore` directory and
-  hands over the content key; the consumer loads the blob by key.
-  This is the fallback for hosts without POSIX shared memory and the
-  natural choice when the blobs should outlive the pool anyway.
-
-Both transports carry the identical packed bytes
-(:func:`pack_columns`/:func:`unpack_columns`), so the choice changes
-wall-clock time and nothing else — the determinism contract of the
-sharded simulator and the calendar miner is untouched.
-
-Lifetime discipline
--------------------
-A shared-memory segment survives its creating process until someone
-unlinks it.  The contract here: the **producer** publishes and closes;
-the **consumer** maps, reads, then calls :meth:`ColumnsRef.release`.
-Producers that fail mid-task must release whatever they already
-published (:class:`ColumnChannel` tracks in-flight refs for exactly
-that), and consumers must release inside ``finally`` so a failed
-worker never leaks segments — ``tests/core/test_ipc.py`` pins both.
+:func:`pack_columns` lays a ``{name: ndarray}`` dict out as a single
+contiguous buffer, and :func:`unpack_columns` reads it back as
+zero-copy views.  The segmented pdns store
+(:mod:`repro.pdns.segments`) frames both blocks of every ``.pdnsseg``
+file this way, so a reader maps the file and never deserialises a
+column.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.core.artifact_store import ArtifactStore, CorruptArtifact
+from repro.core.artifact_store import CorruptArtifact
 
-__all__ = ["IPC_SHM", "IPC_SPILL", "IPC_AUTO", "IPC_MODES", "IpcStats",
-           "ColumnsRef", "ColumnChannel", "pack_columns", "unpack_columns",
-           "packed_nbytes", "shared_memory_available", "resolve_ipc_mode"]
-
-#: Transport selectors.  ``auto`` resolves to shared memory when the
-#: platform provides it, else to artifact spill.
-IPC_SHM = "shm"
-IPC_SPILL = "spill"
-IPC_AUTO = "auto"
-IPC_MODES = (IPC_AUTO, IPC_SHM, IPC_SPILL)
+__all__ = ["pack_columns", "unpack_columns"]
 
 _PACK_MAGIC = b"RCOL1\n"
 _ALIGN = 8
-
-#: File suffix of spilled column blobs (shared with the ``repro
-#: cache`` CLI's per-suffix accounting).
-SPILL_SUFFIX = ".cols"
 
 
 def _aligned(offset: int) -> int:
@@ -79,8 +36,7 @@ def pack_columns(columns: Dict[str, np.ndarray]) -> bytes:
     payload base* (so the header text never feeds back into the
     offsets), then the raw array bytes, each 8-byte aligned.
     :func:`unpack_columns` reads the arrays back as zero-copy views
-    over the buffer — the format exists so one buffer can cross a
-    process boundary in a single memcpy.
+    over the buffer.
     """
     entries: List[Dict[str, object]] = []
     blobs: List[bytes] = []
@@ -114,26 +70,16 @@ def pack_columns(columns: Dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def packed_nbytes(columns: Dict[str, np.ndarray]) -> int:
-    """Upper bound on the byte size :func:`pack_columns` would produce
-    (cheap estimate of the IPC payload: exact array bytes plus
-    alignment padding plus a generous per-entry header allowance)."""
-    return sum(int(np.ascontiguousarray(array).nbytes) + _ALIGN
-               + 128 + len(key)
-               for key, array in columns.items()) + len(_PACK_MAGIC) + 16
-
-
 def unpack_columns(buffer: "memoryview | bytes",
                    source: str = "<buffer>") -> Dict[str, np.ndarray]:
     """Read a :func:`pack_columns` buffer back into a column dict.
 
     The returned arrays are zero-copy views over ``buffer``: they stay
-    valid only while the underlying memory (shared-memory segment or
-    bytes object) is alive.  Callers that outlive the buffer must copy.
+    valid only while the underlying memory (mapped file or bytes
+    object) is alive.  Callers that outlive the buffer must copy.
 
     Raises :class:`~repro.core.artifact_store.CorruptArtifact` on any
-    structural mismatch, which the artifact-spill load path maps to a
-    cache miss.
+    structural mismatch.
     """
     view = memoryview(buffer)
     if bytes(view[:len(_PACK_MAGIC)]) != _PACK_MAGIC:
@@ -162,191 +108,3 @@ def unpack_columns(buffer: "memoryview | bytes",
         columns[str(entry["key"])] = array.reshape(
             tuple(int(dim) for dim in entry["shape"]))
     return columns
-
-
-def shared_memory_available() -> bool:
-    """Can this host create POSIX shared-memory segments?"""
-    try:
-        from multiprocessing import shared_memory
-        probe = shared_memory.SharedMemory(create=True, size=16)
-    except (ImportError, OSError):
-        return False
-    probe.close()
-    probe.unlink()
-    return True
-
-
-def resolve_ipc_mode(mode: str) -> str:
-    """Resolve ``auto`` to the best transport this host supports."""
-    if mode not in IPC_MODES:
-        raise ValueError(f"ipc mode {mode!r} not in {IPC_MODES}")
-    if mode != IPC_AUTO:
-        return mode
-    return IPC_SHM if shared_memory_available() else IPC_SPILL
-
-
-@dataclass(frozen=True)
-class IpcStats:
-    """Accounting for one parallel run's worker payload traffic.
-
-    ``mode`` is ``inline`` (no pool, nothing crossed a process
-    boundary), ``shm`` or ``spill``; ``payload_bytes`` is the total
-    packed column bytes that crossed it; ``segments`` counts published
-    segments/blobs.  Surfaced by both parallel engines (the sharded
-    simulator and the calendar miner) so the benchmarks can report the
-    IPC payload alongside wall-clock time.
-    """
-
-    mode: str
-    payload_bytes: int
-    segments: int
-
-
-@dataclass(frozen=True)
-class ColumnsRef:
-    """A picklable handle to one published column set.
-
-    ``kind`` selects the transport; ``token`` is the shared-memory
-    segment name or the spill-store content key; ``nbytes`` is the
-    packed payload size (the number the benchmarks report as the IPC
-    payload); ``spill_root`` names the spill directory for
-    :data:`IPC_SPILL` refs.
-    """
-
-    kind: str
-    token: str
-    nbytes: int
-    spill_root: Optional[str] = None
-
-    def release(self) -> None:
-        """Free the published payload (unlink segment / delete blob).
-
-        Idempotent: releasing an already-released ref is a no-op, so
-        ``finally`` blocks on both sides of the pool can call it
-        unconditionally.
-        """
-        if self.kind == IPC_SHM:
-            try:
-                from multiprocessing import shared_memory
-                segment = shared_memory.SharedMemory(name=self.token)
-            except (ImportError, OSError):
-                return
-            segment.close()
-            try:
-                segment.unlink()
-            except OSError:  # pragma: no cover - raced with another release
-                pass
-        elif self.spill_root is not None:
-            ArtifactStore(self.spill_root, SPILL_SUFFIX).delete(self.token)
-
-
-class ColumnChannel:
-    """Publish/consume column dicts across a process pool.
-
-    One channel is created per parallel run on each side of the pool
-    (channels hold no shared state; refs are the wire format).  The
-    producer side tracks everything it published so an exception path
-    can release the in-flight segments (:meth:`release_published`).
-    """
-
-    def __init__(self, mode: str = IPC_AUTO,
-                 spill_root: Optional[str] = None) -> None:
-        self.mode = resolve_ipc_mode(mode)
-        if self.mode == IPC_SPILL and spill_root is None:
-            raise ValueError("spill transport requires a spill_root")
-        self.spill_root = spill_root
-        self._published: List[ColumnsRef] = []
-
-    # -- producer side -------------------------------------------------
-
-    def publish(self, token_hint: str,
-                columns: Dict[str, np.ndarray]) -> ColumnsRef:
-        """Pack ``columns`` and hand back a picklable ref.
-
-        ``token_hint`` keys the payload — the spill blob's content key
-        or the shared-memory segment's *name*.  Naming segments after a
-        caller-supplied hint (rather than letting the kernel pick) is
-        what lets a coordinating parent release every possible segment
-        in its ``finally`` block even when the worker that published it
-        died before shipping the ref back.  Hints must therefore be
-        unique per payload within one run.
-        """
-        data = pack_columns(columns)
-        if self.mode == IPC_SHM:
-            from multiprocessing import shared_memory
-            segment = shared_memory.SharedMemory(name=token_hint,
-                                                 create=True,
-                                                 size=max(1, len(data)))
-            try:
-                segment.buf[:len(data)] = data
-                ref = ColumnsRef(kind=IPC_SHM, token=segment.name,
-                                 nbytes=len(data))
-            except BaseException:
-                segment.close()
-                segment.unlink()
-                raise
-            segment.close()
-        else:
-            assert self.spill_root is not None
-            store = ArtifactStore(self.spill_root, SPILL_SUFFIX)
-            store.store_bytes(token_hint, data)
-            ref = ColumnsRef(kind=IPC_SPILL, token=token_hint,
-                             nbytes=len(data), spill_root=self.spill_root)
-        self._published.append(ref)
-        return ref
-
-    def release_published(self) -> None:
-        """Release every ref this channel published (producer failure
-        path: nothing in flight may outlive the task that made it)."""
-        while self._published:
-            self._published.pop().release()
-
-    # -- consumer side -------------------------------------------------
-
-    @contextmanager
-    def map(self, ref: ColumnsRef) -> Iterator[Dict[str, np.ndarray]]:
-        """Map ``ref`` and yield its columns as zero-copy views.
-
-        The views die with the context; callers keep only arrays
-        derived from them (merges, digests).  The segment/blob itself
-        is *not* released here — ownership of the payload stays with
-        whoever coordinates the run (see module docstring).
-        """
-        if ref.kind == IPC_SHM:
-            from multiprocessing import shared_memory
-            segment = shared_memory.SharedMemory(name=ref.token)
-            try:
-                yield unpack_columns(segment.buf[:ref.nbytes],
-                                     source=f"shm:{ref.token}")
-            finally:
-                segment.close()
-        else:
-            root = ref.spill_root
-            assert root is not None
-            store = ArtifactStore(root, SPILL_SUFFIX)
-            data = store.load_bytes(ref.token)
-            if data is None:
-                raise CorruptArtifact(
-                    f"spill:{ref.token}: blob vanished before the "
-                    "consumer mapped it")
-            yield unpack_columns(data, source=f"spill:{ref.token}")
-
-    def fetch(self, ref: ColumnsRef) -> Dict[str, np.ndarray]:
-        """Owned copies of a published payload's columns.
-
-        :meth:`map` views are only valid while the segment is mapped,
-        and a shared-memory segment refuses to close while *any* numpy
-        view still points into it (``BufferError: cannot close
-        exported pointers exist``) — a lifetime bug magnet for
-        consumers that hold columns across other work.  ``fetch``
-        trades one memcpy per payload (still zero *serialisation*) for
-        arrays the caller owns outright: it copies every column out,
-        drops the views, and unmaps before returning.
-        """
-        with self.map(ref) as views:
-            copies = {key: np.array(array, copy=True)
-                      for key, array in views.items()}
-            # Drop the last view references *before* the context
-            # closes the segment, or close() itself would raise.
-            del views
-        return copies

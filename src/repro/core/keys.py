@@ -1,30 +1,19 @@
-"""Content-hash key derivation shared by the on-disk caches.
+"""Content-hash key derivation for the on-disk caches.
 
-Two cache layers key their artifacts by content hash:
-
-* the fpDNS artifact cache (:mod:`repro.traffic.artifacts`) keys each
-  simulated day by the canonical JSON of the simulator configuration
-  plus the chronological day history;
-* the miner result cache (:mod:`repro.core.mining_pipeline`) keys each
-  day's mining output by the *data content* of the fpDNS day plus the
-  miner configuration and classifier fingerprint.
-
-Both reduce to the same primitive — a SHA-256 over a canonical byte
-serialisation — which lives here, at the bottom of the layering DAG,
-so every layer can derive keys without import cycles.
+The fpDNS artifact cache (:mod:`repro.traffic.artifacts`) keys each
+simulated day by the canonical JSON of the simulator configuration
+plus the chronological day history.  The primitive — a SHA-256 over a
+canonical byte serialisation — lives here, at the bottom of the
+layering DAG, so every layer can derive keys without import cycles.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from typing import Any, Mapping
 
-from repro.core.records import FpDnsDataset, FpDnsEntry
-
-__all__ = ["canonical_json_key", "versioned_key", "dataset_content_key",
-           "compute_dataset_content_key", "object_fingerprint"]
+__all__ = ["canonical_json_key", "versioned_key"]
 
 
 def canonical_json_key(payload: Mapping[str, Any]) -> str:
@@ -41,68 +30,9 @@ def versioned_key(format_tag: str, payload: Mapping[str, Any]) -> str:
     """The shared cache-key scheme: canonical JSON of ``payload`` with
     a ``format`` version field folded in.
 
-    Every on-disk cache (fpDNS artifacts, miner results) derives its
-    keys through this, so bumping a format tag invalidates exactly that
-    cache's old entries and nothing else.
+    Bumping a format tag invalidates exactly that cache's old entries
+    and nothing else.
     """
     if "format" in payload:
         raise ValueError("payload must not carry its own 'format' field")
     return canonical_json_key({"format": format_tag, **payload})
-
-
-def _entry_bytes(entry: FpDnsEntry) -> bytes:
-    """A stable byte serialisation of one fpDNS entry.
-
-    ``repr`` of the underlying tuple is deterministic: floats render
-    via the shortest round-trip representation, enum members by their
-    fixed names, and strings verbatim.
-    """
-    return repr(tuple(entry)).encode("utf-8")
-
-
-def dataset_content_key(dataset: FpDnsDataset) -> str:
-    """SHA-256 hex digest of an fpDNS day's *data content*.
-
-    Hashes the day label and every entry of both streams in order, so
-    two datasets hash equal exactly when they compare equal — whether
-    they were simulated, loaded from an artifact cache, or built by
-    hand.  This is the key material for the miner result cache: a
-    warm session with unchanged data can skip mining entirely.
-    """
-    precomputed = getattr(dataset, "content_key", None)
-    if isinstance(precomputed, str):
-        # Columnar artifact loads carry the key computed (from the real
-        # entries) at store time, so keying a warm day costs nothing
-        # and — crucially — never materialises the lazy entry views.
-        return precomputed
-    return compute_dataset_content_key(dataset)
-
-
-def compute_dataset_content_key(dataset: FpDnsDataset) -> str:
-    """The entry-hashing loop behind :func:`dataset_content_key`,
-    without the precomputed-key fast path.
-
-    Split out so :class:`~repro.pdns.columnar.ColumnarFpDnsDataset` can
-    compute its *own* key lazily (its ``content_key`` attribute is the
-    fast path's probe target — calling the probing function from inside
-    the property would recurse).
-    """
-    digest = hashlib.sha256()
-    digest.update(dataset.day.encode("utf-8"))
-    for stream_tag, entries in ((b"<", dataset.below), (b">", dataset.above)):
-        digest.update(stream_tag)
-        for entry in entries:
-            digest.update(_entry_bytes(entry))
-    return digest.hexdigest()
-
-
-def object_fingerprint(obj: Any) -> str:
-    """SHA-256 hex digest of an object's pickle serialisation.
-
-    Used to fingerprint trained classifiers: training is deterministic
-    (seeded), so equal configurations produce byte-equal pickles and
-    therefore equal fingerprints, while any retrained or reconfigured
-    model invalidates dependent cache entries.
-    """
-    return hashlib.sha256(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)).hexdigest()

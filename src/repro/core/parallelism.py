@@ -1,27 +1,19 @@
-"""Host parallelism introspection shared by every worker pool.
+"""Host parallelism introspection.
 
 ``os.cpu_count()`` reports the *machine's* cores, not the cores this
-process may run on: under cgroup CPU masks (CI runners, containers —
-including the single-core box the checked-in benchmarks were recorded
-on) the two disagree, and sizing a pool by ``cpu_count`` over-
-subscribes the schedulable cores with workers that then fight each
-other.  Every default worker count in the tree — the sharded trace
-simulator, the calendar miner, the ``auto`` values of the
-``REPRO_SIM_WORKERS``/``REPRO_MINER_WORKERS`` knobs — therefore sizes
-itself through :func:`available_cpu_count`, which consults the
-scheduling affinity mask first.
-
-This module sits at the bottom of the layering DAG (``repro.core``)
-because both :mod:`repro.core.mining_pipeline` and
-:mod:`repro.traffic.parallel` need it and core must not import
-traffic.
+process may run on: under cgroup CPU masks (CI runners, containers)
+the two disagree, and sizing a pool by ``cpu_count`` over-subscribes
+the schedulable cores with workers that then fight each other.  Worker
+pools (``reprolint --jobs auto``) and benchmark environment records
+therefore size themselves through :func:`available_cpu_count`, which
+consults the scheduling affinity mask first.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["available_cpu_count", "worker_count_from_env"]
+__all__ = ["available_cpu_count"]
 
 
 def available_cpu_count() -> int:
@@ -35,24 +27,3 @@ def available_cpu_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):
         return max(1, os.cpu_count() or 1)
-
-
-def worker_count_from_env(variable: str, default: int = 1) -> int:
-    """Worker count named by an environment knob.
-
-    ``auto`` (case-insensitive) resolves to
-    :func:`available_cpu_count`; an unset/empty variable resolves to
-    ``default``; anything else must parse as a positive int.  Worker
-    counts only shape wall-clock time — every parallel engine here is
-    equality-proven against serial — so reading the environment does
-    not violate the determinism contract.
-    """
-    raw = os.environ.get(variable, "").strip()
-    if not raw:
-        return default
-    if raw.lower() == "auto":
-        return available_cpu_count()
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{variable} must be >= 1 or 'auto', got {raw!r}")
-    return value

@@ -43,8 +43,7 @@ def build_tree_from_digest(digest: DayDigest) -> DomainNameTree:
     """Stage 1 over a columnar digest: the same black-node set, but
     inserted in deterministic name-id order (first-appearance order in
     the data) rather than ``set`` iteration order — so the resulting
-    mining run is bit-identical across processes, which the parallel
-    calendar miner and its result cache rely on."""
+    mining run is bit-identical across processes."""
     tree = DomainNameTree()
     for name in digest.resolved_names_ordered():
         tree.add_domain(name)

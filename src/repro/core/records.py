@@ -54,9 +54,8 @@ class FpDnsEntry(NamedTuple):
 
     Tuple-backed (``NamedTuple``) rather than a dataclass: the
     collector constructs one of these per answer RR per response —
-    tens of millions per simulated year — so C-level construction,
-    ``__slots__``-free tuple storage, and compact pickling (the shard
-    workers ship entries back over IPC) all matter here.
+    tens of millions per simulated year — so C-level construction and
+    ``__slots__``-free tuple storage matter here.
     """
 
     timestamp: float

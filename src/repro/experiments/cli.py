@@ -12,20 +12,22 @@ where ``<experiment>`` is one of the ids below (e.g. ``fig13``,
 ``table1``, ``sec6b``, ``all``).  Output is the same text rendering
 the benchmarks print.
 
-``cache`` inspects or LRU-prunes the on-disk artifact caches
-(simulated fpDNS days and mining results; see docs/PERFORMANCE.md §5).
-Without ``--dir`` it operates on the directories named by the
-``REPRO_ARTIFACT_CACHE`` and ``REPRO_MINER_CACHE`` environment knobs.
+``cache`` inspects or LRU-prunes the on-disk artifact cache of
+simulated fpDNS days (docs/PERFORMANCE.md §5).  Without ``--dir`` it
+operates on the directory named by the ``REPRO_ARTIFACT_CACHE``
+environment knob.
 
 ``pdns`` operates on segmented on-disk pdns stores
-(:mod:`repro.pdns.store`; docs/PERFORMANCE.md §8): ``stats`` prints
+(:mod:`repro.pdns.store`; docs/PERFORMANCE.md §7): ``stats`` prints
 segment counts/bytes and prefilter counters, ``compact`` k-way-merges
 segments (``--max-rows`` limits merging to small segments), and
 ``prune`` destructively drops oldest segments to a ``--max-bytes``
 budget.  Without ``--dir`` it uses the ``REPRO_PDNS_STORE`` knob.
+Both maintenance commands refuse a directory that does not exist
+rather than creating an empty one.
 
 ``serve`` starts the long-running classification daemon
-(:mod:`repro.service`; see docs/PERFORMANCE.md §7): it simulates or
+(:mod:`repro.service`; see docs/PERFORMANCE.md §6): it simulates or
 cache-loads the reference day, trains (or loads, with ``--model``)
 the LAD tree, and answers ``POST /classify`` / ``GET /metrics`` /
 ``GET /healthz`` until interrupted.
@@ -85,21 +87,31 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
 
 _PROFILES: Dict[str, ScaleProfile] = {"small": SMALL, "medium": MEDIUM}
 
-_CACHE_ENV_KNOBS = ("REPRO_ARTIFACT_CACHE", "REPRO_MINER_CACHE")
+_CACHE_ENV_KNOB = "REPRO_ARTIFACT_CACHE"
 
 _PDNS_ENV_KNOB = "REPRO_PDNS_STORE"
 
 
-def _cache_directories(explicit: Optional[Sequence[str]]) -> List[Path]:
-    """Directories the ``cache`` subcommand operates on: ``--dir``
-    arguments if given, else the env-configured cache directories."""
-    if explicit:
-        return [Path(value) for value in explicit]
-    directories: List[Path] = []
-    for knob in _CACHE_ENV_KNOBS:
-        value = os.environ.get(knob)
-        if value and Path(value) not in directories:
-            directories.append(Path(value))
+def _maintenance_directories(args: argparse.Namespace,
+                             parser: argparse.ArgumentParser,
+                             env_knob: str) -> List[Path]:
+    """Directories a maintenance subcommand operates on: ``--dir``
+    arguments if given, else the one named by ``env_knob``.
+
+    Every directory must already exist: the maintenance commands only
+    inspect and shrink, so a mistyped path is an error, never a fresh
+    empty store.
+    """
+    if args.cache_dirs:
+        directories = [Path(value) for value in args.cache_dirs]
+    else:
+        env_value = os.environ.get(env_knob)
+        directories = [Path(env_value)] if env_value else []
+    if not directories:
+        parser.error(f"no directories: pass --dir or set {env_knob}")
+    for directory in directories:
+        if not directory.is_dir():
+            parser.error(f"no such directory: {directory}")
     return directories
 
 
@@ -109,10 +121,7 @@ def _run_cache(args: argparse.Namespace,
     if action not in ("stats", "prune"):
         parser.error(f"unknown cache action {action!r}; "
                      "expected 'stats' or 'prune'")
-    directories = _cache_directories(args.cache_dirs)
-    if not directories:
-        parser.error("no cache directories: pass --dir or set "
-                     + "/".join(_CACHE_ENV_KNOBS))
+    directories = _maintenance_directories(args, parser, _CACHE_ENV_KNOB)
     if action == "prune":
         if args.max_bytes is None:
             parser.error("cache prune requires --max-bytes")
@@ -134,14 +143,7 @@ def _run_pdns(args: argparse.Namespace,
     if action not in ("stats", "compact", "prune"):
         parser.error(f"unknown pdns action {action!r}; "
                      "expected 'stats', 'compact' or 'prune'")
-    if args.cache_dirs:
-        directories = [Path(value) for value in args.cache_dirs]
-    else:
-        env_value = os.environ.get(_PDNS_ENV_KNOB)
-        directories = [Path(env_value)] if env_value else []
-    if not directories:
-        parser.error(f"no store directories: pass --dir or set "
-                     f"{_PDNS_ENV_KNOB}")
+    directories = _maintenance_directories(args, parser, _PDNS_ENV_KNOB)
     if action == "prune" and args.max_bytes is None:
         parser.error("pdns prune requires --max-bytes")
     for directory in directories:
@@ -237,9 +239,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="simulation scale (default: small)")
     parser.add_argument("--dir", dest="cache_dirs", action="append",
                         metavar="DIR",
-                        help="cache/store directory for 'cache'/'pdns' "
-                             "(repeatable; default: the REPRO_*_CACHE / "
-                             "REPRO_PDNS_STORE env knobs)")
+                        help="existing cache/store directory for "
+                             "'cache'/'pdns' (repeatable; default: the "
+                             "REPRO_ARTIFACT_CACHE / REPRO_PDNS_STORE "
+                             "env knobs)")
     parser.add_argument("--max-bytes", type=int, default=None,
                         help="byte budget for 'cache prune'/'pdns prune'")
     parser.add_argument("--max-rows", type=int, default=None,

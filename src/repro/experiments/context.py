@@ -28,14 +28,11 @@ from repro.core.hitrate import HitRateTable, hit_rates_from_digest
 from repro.core.interning import DayDigest, digest_of
 from repro.core.labeling import TrainingSet, build_training_set
 from repro.core.miner import MinerConfig
-from repro.core.mining_pipeline import CalendarMiner, MinerResultCache
-from repro.core.parallelism import worker_count_from_env
 from repro.core.ranking import (DailyMiningResult, DisposableZoneRanker,
                                 build_tree_from_digest)
 from repro.pdns.database import PassiveDnsDatabase, PdnsBackend
 from repro.pdns.records import FpDnsDataset
 from repro.traffic.artifacts import FpDnsArtifactCache, artifact_key
-from repro.traffic.parallel import ShardedTraceSimulator
 from repro.traffic.population import PopulationConfig
 from repro.traffic.simulate import (PAPER_DATES, RPDNS_WINDOW_DATES,
                                     MeasurementDate, SimulatorConfig,
@@ -93,11 +90,6 @@ class ExperimentContext:
     ----------
     profile:
         The simulation scale.
-    n_workers:
-        Shard the calendar simulation across this many worker processes
-        (:class:`~repro.traffic.parallel.ShardedTraceSimulator`).  The
-        merged result is byte-identical to serial, so this is purely a
-        wall-clock knob.  Default 1 (serial).
     artifact_cache:
         Optional :class:`~repro.traffic.artifacts.FpDnsArtifactCache`.
         Each completed day is persisted there, and a later session with
@@ -111,16 +103,11 @@ class ExperimentContext:
         :meth:`release_day` is the matching manual eviction path.
     """
 
-    def __init__(self, profile: ScaleProfile, n_workers: int = 1,
+    def __init__(self, profile: ScaleProfile,
                  artifact_cache: Optional[FpDnsArtifactCache] = None,
-                 miner_workers: int = 1,
-                 miner_cache: Optional[MinerResultCache] = None,
                  resident_days: Optional[int] = None) -> None:
         self.profile = profile
-        self.n_workers = n_workers
         self.artifacts = artifact_cache
-        self.miner_workers = miner_workers
-        self.miner_cache = miner_cache
         self.resident_days = resident_days
         self.simulator = TraceSimulator(profile.simulator_config())
         self._datasets: Dict[str, FpDnsDataset] = {}
@@ -132,12 +119,12 @@ class ExperimentContext:
         self._last_day_index = -1
         # Chronological record of every day produced (simulated or
         # loaded) — the artifact-cache key material — plus how many of
-        # those days the *serial* simulator has actually executed.  When
-        # the two diverge (cache hits, sharded runs), the serial caches
-        # are cold and must be rewarmed by replay before simulating a
-        # later day.  The record is append-only by construction: cache
-        # keys embed the full production history, so forgetting a day
-        # would change every later key.
+        # those days the simulator has actually executed.  When the two
+        # diverge (cache hits), the simulator's resolver caches are cold
+        # and must be rewarmed by replay before simulating a later day.
+        # The record is append-only by construction: cache keys embed
+        # the full production history, so forgetting a day would change
+        # every later key.
         self._history: List[MeasurementDate] = []
         self._replayed = 0
         #: Day label -> index into ``_history`` for every produced day.
@@ -173,9 +160,6 @@ class ExperimentContext:
             if self.artifacts.format == "columnar":
                 # Encoding needs the day's digest anyway; build it once
                 # and memoise so the first analysis pass gets it free.
-                # digest_of reuses a digest the dataset already carries
-                # (parallel-merged and artifact-loaded columnar days),
-                # so only serially simulated days pay a digest build.
                 digest = self._digests.get(date.label)
                 if digest is None:
                     digest = digest_of(dataset)
@@ -237,9 +221,8 @@ class ExperimentContext:
 
     def _simulate_batch(self, dates: List[MeasurementDate]) -> None:
         """Produce ``dates`` (chronological), cheapest source first:
-        artifact cache, then sharded-parallel (cold start only), then
-        the serial simulator (rewarming its caches by replay if they
-        are behind the recorded history)."""
+        artifact cache, then the simulator (rewarming its caches by
+        replay if they are behind the recorded history)."""
         remaining = list(dates)
         while remaining and self.artifacts is not None:
             key = artifact_key(self.simulator.config,
@@ -250,16 +233,8 @@ class ExperimentContext:
             self._record_day(remaining.pop(0), cached, store=False)
         if not remaining:
             return
-        if self.n_workers > 1 and not self._history and len(remaining) > 1:
-            # Nothing produced yet: the sharded engine's cold-cache
-            # window is exactly this batch.
-            sharded = ShardedTraceSimulator(self.simulator.config,
-                                            n_workers=self.n_workers)
-            for date, dataset in zip(remaining, sharded.run_days(remaining)):
-                self._record_day(date, dataset, store=True)
-            return
-        # Serial path: replay any days the serial simulator missed
-        # (their outputs exist already; only the cache state matters).
+        # Replay any days the simulator missed (their outputs exist
+        # already; only the cache state matters).
         for date in self._history[self._replayed:]:
             self.simulator.run_day(date)
             self._replayed += 1
@@ -355,26 +330,6 @@ class ExperimentContext:
                                                   self.hit_rates(date))
         return self._mining[key]
 
-    def mine_calendar(self, dates: Optional[Sequence[MeasurementDate]] = None,
-                      threshold: float = 0.9) -> List[DailyMiningResult]:
-        """Mine a window of days through the parallel calendar miner.
-
-        Honours the context's ``miner_workers`` / ``miner_cache``
-        settings; results land in the per-day memo so later
-        :meth:`mining_result` calls are free.
-        """
-        if dates is None:
-            dates = PAPER_DATES
-        datasets = self.datasets(list(dates))
-        miner = CalendarMiner(self.classifier(),
-                              MinerConfig(threshold=threshold),
-                              n_workers=self.miner_workers,
-                              cache=self.miner_cache)
-        results = miner.mine_calendar(datasets)
-        for date, result in zip(dates, results):
-            self._mining[f"{date.label}@{threshold}"] = result
-        return results
-
     def mined_groups(self, date: MeasurementDate,
                      threshold: float = 0.9) -> Set[Tuple[str, int]]:
         return self.mining_result(date, threshold).groups
@@ -415,52 +370,37 @@ class ExperimentContext:
 _CONTEXTS: Dict[str, ExperimentContext] = {}
 
 
-def _options_from_env() -> Tuple[int, Optional[FpDnsArtifactCache],
-                                 int, Optional[MinerResultCache],
+def _options_from_env() -> Tuple[Optional[FpDnsArtifactCache],
                                  Optional[int]]:
-    """Opt-in acceleration knobs for shared contexts.
+    """Opt-in knobs for shared contexts.
 
-    ``REPRO_SIM_WORKERS`` shards the calendar simulation across that
-    many processes; ``REPRO_ARTIFACT_CACHE`` names a directory to
-    persist/load fpDNS days.  ``REPRO_MINER_WORKERS`` mines calendar
-    days in that many processes; ``REPRO_MINER_CACHE`` names a
-    directory to persist/replay per-day mining results.
-    ``REPRO_RESIDENT_DAYS`` bounds how many per-entry day datasets stay
-    resident in memory (evicted days reload from the artifact cache).
-    All of these leave every produced byte identical to the serial,
-    cache-less run —
-    they only change wall-clock time — so reading them here does not
-    violate the determinism contract.  (The artifact cache additionally
-    honours ``REPRO_ARTIFACT_FORMAT`` — ``columnar`` default or ``tsv``
-    — which changes bytes on disk only, never a loaded day's content;
-    see :mod:`repro.traffic.artifacts`.)
+    ``REPRO_ARTIFACT_CACHE`` names a directory to persist/load fpDNS
+    days; ``REPRO_RESIDENT_DAYS`` bounds how many per-entry day
+    datasets stay resident in memory (evicted days reload from the
+    artifact cache).  Both leave every produced byte identical to the
+    cache-less run — they only change wall-clock time and memory — so
+    reading them here does not violate the determinism contract.  (The
+    artifact cache additionally honours ``REPRO_ARTIFACT_FORMAT`` —
+    ``columnar`` default or ``tsv`` — which changes bytes on disk only,
+    never a loaded day's content; see :mod:`repro.traffic.artifacts`.)
     """
-    n_workers = worker_count_from_env("REPRO_SIM_WORKERS", default=1)
     cache_dir = os.environ.get("REPRO_ARTIFACT_CACHE")
     cache = FpDnsArtifactCache(cache_dir) if cache_dir else None
-    miner_workers = worker_count_from_env("REPRO_MINER_WORKERS", default=1)
-    miner_cache_dir = os.environ.get("REPRO_MINER_CACHE")
-    miner_cache = (MinerResultCache(miner_cache_dir)
-                   if miner_cache_dir else None)
     resident_raw = os.environ.get("REPRO_RESIDENT_DAYS")
     resident_days = int(resident_raw) if resident_raw else None
-    return n_workers, cache, miner_workers, miner_cache, resident_days
+    return cache, resident_days
 
 
 def get_context(profile: ScaleProfile = MEDIUM) -> ExperimentContext:
     """Shared per-profile context (benchmarks reuse one simulation).
 
-    Honours the ``REPRO_SIM_WORKERS`` / ``REPRO_ARTIFACT_CACHE`` /
-    ``REPRO_MINER_WORKERS`` / ``REPRO_MINER_CACHE`` /
-    ``REPRO_RESIDENT_DAYS`` environment knobs
-    (see :func:`_options_from_env`) when the context is first created;
-    later calls return the existing instance.
+    Honours the ``REPRO_ARTIFACT_CACHE`` / ``REPRO_RESIDENT_DAYS``
+    environment knobs (see :func:`_options_from_env`) when the context
+    is first created; later calls return the existing instance.
     """
     if profile.name not in _CONTEXTS:
-        (n_workers, artifact_cache, miner_workers, miner_cache,
-         resident_days) = _options_from_env()
+        artifact_cache, resident_days = _options_from_env()
         _CONTEXTS[profile.name] = ExperimentContext(
-            profile, n_workers=n_workers, artifact_cache=artifact_cache,
-            miner_workers=miner_workers, miner_cache=miner_cache,
+            profile, artifact_cache=artifact_cache,
             resident_days=resident_days)
     return _CONTEXTS[profile.name]

@@ -23,12 +23,7 @@ _NXDOMAIN = RCode.NXDOMAIN
 
 def entries_for_response(timestamp: float, client_id: Optional[int],
                          response: Response) -> List[FpDnsEntry]:
-    """The fpDNS rows one observed response contributes.
-
-    Shared by the in-process collector and the shard workers of
-    :mod:`repro.traffic.parallel`, so both monitoring paths materialise
-    byte-identical streams.
-    """
+    """The fpDNS rows one observed response contributes."""
     if response.rcode is _NXDOMAIN or not response.answers:
         rcode = (response.rcode if response.rcode is not _NOERROR
                  else _NXDOMAIN)

@@ -18,9 +18,8 @@ On-disk layout
 
     #repro-fpdns2\\n                       magic line
     {"version":1,"day":...,               one-line JSON header:
-     "content_key":...,                    format version, day label,
-     "payload_sha256":...,                 dataset content key, payload
-     "payload_bytes":N}\\n                 checksum and exact length
+     "payload_sha256":...,                 format version, day label,
+     "payload_bytes":N}\\n                 payload checksum and length
     <npz payload>                         numpy ``savez`` archive
 
 The payload holds the :meth:`~repro.core.interning.DayDigest.to_columns`
@@ -35,12 +34,12 @@ detectable before numpy ever parses a byte; any mismatch raises
 :class:`~repro.pdns.io.FormatError`, which the artifact cache treats
 as a miss.
 
-``content_key`` is :func:`repro.core.keys.dataset_content_key`
-computed from the real entries at store time, so keying a warm day
-(e.g. for the miner result cache) costs nothing.
-
 Compatibility
 -------------
+Headers written before the format dropped its ``content_key`` field
+still carry it.  The loader ignores header fields it does not read,
+so those artifacts load unchanged under the same version.
+
 :class:`ColumnarFpDnsDataset` is a drop-in
 :class:`~repro.core.records.FpDnsDataset`: ``below``/``above`` are
 lazy views that materialise the legacy entry lists on first access, so
@@ -65,8 +64,6 @@ from repro.core.dnstypes import RCode
 from repro.core.interning import (RRTYPE_BY_CODE, DayDigest,
                                   build_day_digest, decode_string_pool,
                                   encode_string_pool)
-from repro.core.keys import (compute_dataset_content_key,
-                             dataset_content_key)
 from repro.core.records import FpDnsDataset, FpDnsEntry
 from repro.pdns.io import FormatError
 
@@ -93,37 +90,17 @@ class ColumnarFpDnsDataset(FpDnsDataset):
     (via :meth:`day_digest`); ``below``/``above`` materialise the
     legacy :class:`~repro.core.records.FpDnsEntry` lists only when a
     per-entry consumer actually reads them.
-
-    ``content_key`` is precomputed on warm artifact loads (carried by
-    the fpDNS-v2 header) and *lazy* on freshly merged parallel days
-    (pass ``None``): the key hashes the real entries, so computing it
-    eagerly would force the entry materialisation this class exists to
-    avoid.  Reading the property on a keyless day computes and caches
-    it once — the merged entries are identical to the serial day's, so
-    the lazy key equals the key a serial run would have stored.
     """
 
-    def __init__(self, day: str, digest: DayDigest, xrdata: _XRdata,
-                 content_key: Optional[str]) -> None:
+    def __init__(self, day: str, digest: DayDigest,
+                 xrdata: _XRdata) -> None:
         # Deliberately not calling the dataclass __init__: ``below`` /
         # ``above`` are lazy properties here, not list fields.
         self.day = day
         self._digest = digest
         self._xrdata = xrdata
-        self._content_key = content_key
         self._below_entries: Optional[List[FpDnsEntry]] = None
         self._above_entries: Optional[List[FpDnsEntry]] = None
-
-    @property
-    def content_key(self) -> str:
-        """The day's :func:`~repro.core.keys.dataset_content_key`.
-
-        Free on warm loads; computed (and cached) from the entries on
-        first read for parallel-merged days.
-        """
-        if self._content_key is None:
-            self._content_key = compute_dataset_content_key(self)
-        return self._content_key
 
     def day_digest(self) -> DayDigest:
         """The columnar digest — free, already deserialised."""
@@ -232,12 +209,10 @@ def dumps_fpdns2(dataset: FpDnsDataset,
     if isinstance(dataset, ColumnarFpDnsDataset):
         digest = dataset.day_digest()
         xrdata = dataset._xrdata
-        content_key = dataset.content_key
     else:
         if digest is None:
             digest = build_day_digest(dataset)
         xrdata = _extract_xrdata(dataset, digest)
-        content_key = dataset_content_key(dataset)
     columns = digest.to_columns()
     columns["below_xrdata_ids"] = xrdata[0]
     columns["above_xrdata_ids"] = xrdata[1]
@@ -250,7 +225,6 @@ def dumps_fpdns2(dataset: FpDnsDataset,
     header = {
         "version": FPDNS2_VERSION,
         "day": digest.day,
-        "content_key": content_key,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
     }
@@ -291,10 +265,8 @@ def loads_fpdns2(data: bytes,
     if checksum != header.get("payload_sha256"):
         raise FormatError(f"{source}: fpDNS-v2 payload checksum mismatch")
     day = header.get("day")
-    content_key = header.get("content_key")
-    if not isinstance(day, str) or not isinstance(content_key, str):
-        raise FormatError(f"{source}: fpDNS-v2 header missing "
-                          "day/content_key")
+    if not isinstance(day, str):
+        raise FormatError(f"{source}: fpDNS-v2 header missing day")
     try:
         with np.load(io.BytesIO(payload)) as archive:
             columns = {name: archive[name] for name in archive.files}
@@ -304,8 +276,7 @@ def loads_fpdns2(data: bytes,
                                      columns["xrdata_offsets"]))
     except (KeyError, ValueError, OSError) as exc:
         raise FormatError(f"{source}: bad fpDNS-v2 payload: {exc}") from exc
-    return ColumnarFpDnsDataset(day=day, digest=digest, xrdata=xrdata,
-                                content_key=content_key)
+    return ColumnarFpDnsDataset(day=day, digest=digest, xrdata=xrdata)
 
 
 def save_fpdns2(dataset: FpDnsDataset, path: PathLike,

@@ -3,7 +3,6 @@
 from repro.traffic.artifacts import FpDnsArtifactCache, artifact_key
 from repro.traffic.clients import ClientPopulation
 from repro.traffic.diurnal import SECONDS_PER_DAY, DiurnalProfile
-from repro.traffic.parallel import ShardedTraceSimulator, default_worker_count
 from repro.traffic.generators import (AvHashNameGenerator,
                                       CdnShardNameGenerator,
                                       DisposableNameGenerator,
@@ -24,7 +23,6 @@ __all__ = [
     "FpDnsArtifactCache", "artifact_key",
     "ClientPopulation",
     "SECONDS_PER_DAY", "DiurnalProfile",
-    "ShardedTraceSimulator", "default_worker_count",
     "AvHashNameGenerator", "CdnShardNameGenerator",
     "DisposableNameGenerator", "DnsblNameGenerator",
     "MeasurementNameGenerator", "TelemetryNameGenerator",

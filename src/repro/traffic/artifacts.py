@@ -148,8 +148,8 @@ class FpDnsArtifactCache:
         """Cached day for ``key``, or ``None`` (counted as a miss).
 
         With the columnar backend the returned dataset carries its
-        pre-built digest (``day_digest()``) and precomputed
-        ``content_key``; per-entry views materialise lazily.
+        pre-built digest (``day_digest()``); per-entry views
+        materialise lazily.
         """
         return self.store_backend.load(key, self._decode,
                                        miss_on=(FormatError,))

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.labeling import LabeledZone
-from repro.dns.authority import AuthoritativeHierarchy
 from repro.dns.resolver import RdnsCluster
 from repro.pdns.collector import PassiveDnsCollector
 from repro.pdns.records import FpDnsDataset
@@ -25,7 +24,7 @@ from repro.traffic.population import PopulationConfig, ZonePopulation
 from repro.traffic.workload import WorkloadConfig, WorkloadModel
 
 __all__ = ["MeasurementDate", "PAPER_DATES", "RPDNS_WINDOW_DATES",
-           "SimulatorConfig", "TraceSimulator", "apply_ttl_schedule"]
+           "SimulatorConfig", "TraceSimulator"]
 
 
 @dataclass(frozen=True)
@@ -91,24 +90,6 @@ class SimulatorConfig:
                 f"negative_ttl must be >= 0, got {self.negative_ttl}")
 
 
-def apply_ttl_schedule(population: ZonePopulation,
-                       authority: AuthoritativeHierarchy,
-                       year_fraction: float) -> None:
-    """Publish each service's TTL for this point of the year
-    (Figure 14: operators moved from ~1 s to ~300 s during 2011).
-
-    Module-level so the sharded workers of
-    :mod:`repro.traffic.parallel` apply the identical schedule to
-    their private authority copies.
-    """
-    from repro.dns.zone import WildcardZone
-
-    for service in population.services:
-        zone = authority.zone_at(service.zone)
-        if isinstance(zone, WildcardZone):
-            zone.ttl = service.ttl_at(year_fraction)
-
-
 class TraceSimulator:
     """End-to-end synthetic trace generation."""
 
@@ -129,7 +110,15 @@ class TraceSimulator:
     # -- running ----------------------------------------------------------
 
     def _apply_ttl_schedule(self, year_fraction: float) -> None:
-        apply_ttl_schedule(self.population, self.authority, year_fraction)
+        """Publish each service's TTL for this point of the year
+        (Figure 14: operators moved from ~1 s to ~300 s during 2011).
+        """
+        from repro.dns.zone import WildcardZone
+
+        for service in self.population.services:
+            zone = self.authority.zone_at(service.zone)
+            if isinstance(zone, WildcardZone):
+                zone.ttl = service.ttl_at(year_fraction)
 
     def run_day(self, date: MeasurementDate,
                 n_events: Optional[int] = None) -> FpDnsDataset:

@@ -28,8 +28,7 @@ __all__ = ["WorkloadConfig", "QueryEvent", "WorkloadModel"]
 class QueryEvent(NamedTuple):
     """One client query: when, who, what.
 
-    Tuple-backed: a MEDIUM day materialises 60k of these and the
-    sharded engine regenerates the full stream in every worker, so
+    Tuple-backed: a MEDIUM day materialises 60k of these, so
     construction cost is squarely on the hot path.
     """
 
@@ -130,9 +129,7 @@ class WorkloadModel:
         draw per decision column (site rank, client, qtype, ...)
         instead of several scalar draws per event.  The RNG consumption
         order is fixed by the CATEGORIES tuple, so the stream stays a
-        pure function of (config, day_index, year_fraction, n_events) —
-        which is what lets the sharded workers of
-        :mod:`repro.traffic.parallel` regenerate it independently.
+        pure function of (config, day_index, year_fraction, n_events).
         """
         rng = np.random.default_rng(self.config.seed + 1000 + day_index)
         count = self.config.events_per_day if n_events is None else n_events

@@ -58,14 +58,14 @@ class TestCacheCommand:
     def _populate(self, root):
         root.mkdir(parents=True, exist_ok=True)
         (root / "a.fpdns2").write_bytes(b"x" * 10)
-        (root / "b.mining.json").write_bytes(b"y" * 4)
+        (root / "b.fpdns.gz").write_bytes(b"y" * 4)
 
     def test_stats(self, tmp_path, capsys):
         self._populate(tmp_path)
         assert cli.main(["cache", "stats", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "2 artifacts" in out and "14 bytes" in out
-        assert ".fpdns2" in out and ".mining.json" in out
+        assert ".fpdns2" in out and ".fpdns.gz" in out
 
     def test_stats_is_default_action(self, tmp_path, capsys):
         self._populate(tmp_path)
@@ -88,13 +88,11 @@ class TestCacheCommand:
                                           monkeypatch):
         self._populate(tmp_path)
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path))
-        monkeypatch.delenv("REPRO_MINER_CACHE", raising=False)
         assert cli.main(["cache", "stats"]) == 0
         assert "2 artifacts" in capsys.readouterr().out
 
     def test_no_directories_errors(self, monkeypatch):
         monkeypatch.delenv("REPRO_ARTIFACT_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_MINER_CACHE", raising=False)
         with pytest.raises(SystemExit):
             cli.main(["cache", "stats"])
 
@@ -105,6 +103,24 @@ class TestCacheCommand:
     def test_list_mentions_cache(self, capsys):
         cli.main(["list"])
         assert "cache" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cache", "stats"],
+    ["cache", "prune", "--max-bytes", "0"],
+    ["pdns", "stats"],
+    ["pdns", "compact"],
+    ["pdns", "prune", "--max-bytes", "0"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_missing_directory_is_a_usage_error(tmp_path, capsys, argv):
+    """Maintenance commands name a missing ``--dir`` and exit 2; they
+    neither crash nor create the directory and report success."""
+    missing = tmp_path / "no-such-dir"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--dir", str(missing)])
+    assert excinfo.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.exists()
 
 
 class TestServeCommand:

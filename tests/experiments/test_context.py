@@ -67,17 +67,8 @@ class TestContext:
 
 
 class TestAcceleratedContext:
-    """The sharded and artifact-cached paths must change nothing but
-    wall-clock time."""
-
-    def test_sharded_context_matches_serial(self):
-        serial = ExperimentContext(TINY)
-        sharded = ExperimentContext(TINY, n_workers=2)
-        for date in PAPER_DATES[:2]:
-            a = serial.dataset(date)
-            b = sharded.dataset(date)
-            assert a.below == b.below
-            assert a.above == b.above
+    """The artifact-cached paths must change nothing but wall-clock
+    time."""
 
     def test_warm_session_skips_simulation(self, tmp_path):
         cold_cache = FpDnsArtifactCache(tmp_path)
@@ -118,8 +109,8 @@ class TestAcceleratedContext:
     @pytest.mark.parametrize("artifact_format", ["columnar", "tsv"])
     def test_mining_identical_across_formats_and_workers(self, tmp_path,
                                                          artifact_format):
-        """The paper's outputs are invariant under the storage backend
-        and worker count — both are wall-clock knobs only."""
+        """The paper's outputs are invariant under the storage backend,
+        a wall-clock knob only."""
         baseline = ExperimentContext(TINY)
         expected = baseline.mining_result(PAPER_DATES[0])
 
@@ -127,8 +118,7 @@ class TestAcceleratedContext:
         cache = FpDnsArtifactCache(root, artifact_format=artifact_format)
         ExperimentContext(TINY, artifact_cache=cache).dataset(PAPER_DATES[0])
         warm = ExperimentContext(
-            TINY, miner_workers=2,
-            artifact_cache=FpDnsArtifactCache(
+            TINY, artifact_cache=FpDnsArtifactCache(
                 root, artifact_format=artifact_format))
         assert warm.mining_result(PAPER_DATES[0]) == expected
 

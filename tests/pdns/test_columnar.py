@@ -2,14 +2,15 @@
 
 The gzip-TSV format (:mod:`repro.pdns.io`) is the oracle: every
 round-trip assertion compares the columnar load against the plain
-dataset (entry lists, digest columns, content key).
+dataset (entry lists, digest columns).
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.interning import STREAM_FIELDS, build_day_digest
-from repro.core.keys import dataset_content_key
 from repro.dns.message import RCode, RRType
 from repro.pdns.columnar import (FPDNS2_MAGIC, ColumnarFpDnsDataset,
                                  dumps_fpdns2, load_fpdns2, loads_fpdns2,
@@ -57,13 +58,27 @@ def assert_digest_equal(built, loaded):
             assert a1.dtype == a2.dtype, (which, field)
 
 
+def with_content_key(data):
+    """``data`` with the header field older writers still emitted:
+    ``content_key`` was dropped from fpDNS-v2 without a version bump,
+    so artifacts that carry it must keep loading."""
+    header_end = data.index(b"\n", len(FPDNS2_MAGIC))
+    header = json.loads(data[len(FPDNS2_MAGIC):header_end])
+    header["content_key"] = "0" * 64
+    header_line = json.dumps(header, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8")
+    return FPDNS2_MAGIC + header_line + data[header_end:]
+
+
 class TestRoundTrip:
     def test_exact_entry_roundtrip(self, dataset):
-        loaded = loads_fpdns2(dumps_fpdns2(dataset))
-        assert isinstance(loaded, ColumnarFpDnsDataset)
-        assert loaded.day == dataset.day
-        assert loaded.below == dataset.below
-        assert loaded.above == dataset.above
+        blob = dumps_fpdns2(dataset)
+        for data in (blob, with_content_key(blob)):
+            loaded = loads_fpdns2(data)
+            assert isinstance(loaded, ColumnarFpDnsDataset)
+            assert loaded.day == dataset.day
+            assert loaded.below == dataset.below
+            assert loaded.above == dataset.above
 
     def test_equality_both_directions(self, dataset):
         loaded = loads_fpdns2(dumps_fpdns2(dataset))
@@ -73,12 +88,6 @@ class TestRoundTrip:
     def test_digest_matches_built_digest(self, dataset):
         loaded = loads_fpdns2(dumps_fpdns2(dataset))
         assert_digest_equal(build_day_digest(dataset), loaded.day_digest())
-
-    def test_content_key_precomputed(self, dataset):
-        loaded = loads_fpdns2(dumps_fpdns2(dataset))
-        assert loaded.content_key == dataset_content_key(dataset)
-        # The fast path in dataset_content_key must pick it up.
-        assert dataset_content_key(loaded) == loaded.content_key
 
     def test_reencode_without_materialization(self, dataset):
         loaded = loads_fpdns2(dumps_fpdns2(dataset))

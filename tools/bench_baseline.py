@@ -1,24 +1,18 @@
 """Record the simulator performance baseline.
 
-Times the three simulation paths on a fixed workload and writes the
-numbers to ``BENCH_simulator.json`` at the repo root:
+Times the simulator on a fixed workload and writes the numbers to
+``BENCH_simulator.json`` at the repo root:
 
 * **serial** — :class:`repro.traffic.simulate.TraceSimulator`;
-* **sharded** — :class:`repro.traffic.parallel.ShardedTraceSimulator`
-  at 1/2/4 workers (byte-identical output, wall-clock only);
-* **artifact cache** — a cold session that stores every day, then a
-  warm session that loads them instead of simulating.
+* **artifact cache** — a cold session that simulates and stores every
+  day, then a warm session that loads them instead of simulating.
 
-The recorded file also captures ``cpu_count``/``available_cpus``:
-sharding cannot beat serial on fewer schedulable cores than workers,
-so numbers are only comparable across machines together with those
-fields.  Each sharded run additionally records its IPC payload — the
-packed column bytes that crossed the worker boundary
-(``ipc_payload_bytes``) — next to ``legacy_pickle_payload_bytes``,
-what the retired per-entry pickle transport would have shipped for
-the same days (see docs/PERFORMANCE.md §6).  Timing lives here in
-``tools/`` because ``src/repro`` is wall-clock-free by the
-determinism contract (reprolint R001).
+The cold and warm sessions' days are asserted equal to the serial
+run's.  The recorded file also captures ``cpu_count``/
+``available_cpus``, so numbers are comparable across machines only
+together with those fields.  Timing lives here in ``tools/`` because
+``src/repro`` is wall-clock-free by the determinism contract
+(reprolint R001).
 
 Usage::
 
@@ -35,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import tempfile
 import time
@@ -50,7 +43,6 @@ from repro.experiments.context import MEDIUM, SMALL, ScaleProfile  # noqa: E402
 from repro.pdns.records import FpDnsDataset  # noqa: E402
 from repro.traffic.artifacts import (FpDnsArtifactCache,  # noqa: E402
                                      artifact_key)
-from repro.traffic.parallel import ShardedTraceSimulator  # noqa: E402
 from repro.traffic.simulate import (PAPER_DATES,  # noqa: E402
                                     TraceSimulator)
 
@@ -69,7 +61,6 @@ def _check_identical(reference: List[FpDnsDataset],
 def bench(profile: ScaleProfile, n_days: int,
           n_events: Optional[int]) -> Dict[str, object]:
     dates = PAPER_DATES[:n_days]
-    config = profile.simulator_config()
     results: Dict[str, object] = {
         "profile": profile.name,
         "n_days": len(dates),
@@ -86,45 +77,6 @@ def bench(profile: ScaleProfile, n_days: int,
     results["serial_s"] = round(serial_s, 3)
     print(f"serial: {serial_s:.2f}s")
 
-    # What the pre-columnar engine would have shipped through the pool:
-    # the per-entry lists, pickled.  The column transport's
-    # ``ipc_payload_bytes`` below is the after number.
-    legacy_payload = sum(
-        len(pickle.dumps((day.day, day.below, day.above),
-                         protocol=pickle.HIGHEST_PROTOCOL))
-        for day in serial_days)
-    results["legacy_pickle_payload_bytes"] = legacy_payload
-    print(f"legacy pickled payload: {legacy_payload} bytes")
-
-    sharded_timings: Dict[str, float] = {}
-    ipc_payloads: Dict[str, int] = {}
-    for n_workers in (1, 2, 4):
-        start = time.perf_counter()
-        sharded = ShardedTraceSimulator(profile.simulator_config(),
-                                        n_workers=n_workers)
-        sharded_days = sharded.run_days(dates, n_events=n_events)
-        elapsed = time.perf_counter() - start
-        _check_identical(serial_days, sharded_days,
-                         f"sharded(n_workers={n_workers})")
-        sharded_timings[str(n_workers)] = round(elapsed, 3)
-        ipc = sharded.last_ipc
-        assert ipc is not None
-        ipc_payloads[str(n_workers)] = ipc.payload_bytes
-        print(f"sharded n_workers={n_workers}: {elapsed:.2f}s "
-              f"(speedup {serial_s / elapsed:.2f}x, ipc {ipc.mode} "
-              f"{ipc.payload_bytes} bytes, output identical)")
-        if ipc.payload_bytes:
-            results["ipc_mode"] = ipc.mode
-    results["sharded_s"] = sharded_timings
-    results["ipc_payload_bytes"] = ipc_payloads
-    results["speedup_at_4_workers"] = round(
-        serial_s / sharded_timings["4"], 2)
-    if available_cpu_count() == 1:
-        # Multi-worker numbers on a single core measure process
-        # overhead, not parallel speedup — flag them so readers (and
-        # tooling) do not compare them against multi-core baselines.
-        results["constrained"] = True
-
     with tempfile.TemporaryDirectory() as tmp:
         cache = FpDnsArtifactCache(tmp)
         start = time.perf_counter()
@@ -138,6 +90,7 @@ def bench(profile: ScaleProfile, n_days: int,
                                      n_events=n_events), day)
             cold_days.append(day)
         cold_s = time.perf_counter() - start
+        _check_identical(serial_days, cold_days, "cold session")
 
         warm_cache = FpDnsArtifactCache(tmp)
         start = time.perf_counter()
@@ -152,7 +105,7 @@ def bench(profile: ScaleProfile, n_days: int,
             warm_days.append(day)
         warm_s = time.perf_counter() - start
         assert warm_cache.misses == 0
-        _check_identical(cold_days, warm_days, "artifact cache")
+        _check_identical(serial_days, warm_days, "warm session")
 
     results["cache_cold_s"] = round(cold_s, 3)
     results["cache_warm_s"] = round(warm_s, 3)

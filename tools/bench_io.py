@@ -51,11 +51,11 @@ from repro.core.classifier import LadTreeClassifier  # noqa: E402
 from repro.core.features import FeatureExtractor  # noqa: E402
 from repro.core.hitrate import hit_rates_from_digest  # noqa: E402
 from repro.core.interning import (STREAM_FIELDS,  # noqa: E402
-                                  DayDigest, build_day_digest)
+                                  DayDigest, build_day_digest, digest_of)
 from repro.core.labeling import build_training_set  # noqa: E402
 from repro.core.miner import MinerConfig  # noqa: E402
-from repro.core.mining_pipeline import mine_day  # noqa: E402
 from repro.core.ranking import (DailyMiningResult,  # noqa: E402
+                                DisposableZoneRanker,
                                 build_tree_from_digest)
 from repro.experiments.context import (MEDIUM, SMALL,  # noqa: E402
                                        TRAINING_DATE, ScaleProfile)
@@ -127,6 +127,13 @@ def _best_of(repeats: int, run: Callable[[], object]
     return best, first
 
 
+def _mine(dataset: FpDnsDataset,
+          classifier: LadTreeClassifier) -> DailyMiningResult:
+    """Mine one day from its digest (reused when the day carries one)."""
+    ranker = DisposableZoneRanker(classifier, MinerConfig())
+    return ranker.run_digest(digest_of(dataset))
+
+
 def bench(profile: ScaleProfile, n_days: int,
           n_events: Optional[int]) -> Dict[str, object]:
     datasets, classifier = _prepare(profile, n_days, n_events)
@@ -137,8 +144,7 @@ def bench(profile: ScaleProfile, n_days: int,
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
     }
-    oracle = [mine_day(dataset, classifier, MinerConfig())
-              for dataset in datasets]
+    oracle = [_mine(dataset, classifier) for dataset in datasets]
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -189,11 +195,11 @@ def bench(profile: ScaleProfile, n_days: int,
 
         # -- warm end-to-end: load -> digest -> mine ----------------------
         def warm_tsv() -> List[DailyMiningResult]:
-            return [mine_day(load_fpdns(path), classifier, MinerConfig())
+            return [_mine(load_fpdns(path), classifier)
                     for path in tsv_paths]
 
         def warm_columnar() -> List[DailyMiningResult]:
-            return [mine_day(load_fpdns2(path), classifier, MinerConfig())
+            return [_mine(load_fpdns2(path), classifier)
                     for path in col_paths]
 
         tsv_e2e_s, tsv_mined = _best_of(REPEATS, warm_tsv)

@@ -1,27 +1,17 @@
 """Record the mining-pipeline performance baseline.
 
-Times the two single-day mine+analyze paths and the calendar miner on
-a fixed simulated workload and writes the numbers to
-``BENCH_miner.json`` at the repo root:
+Times the two single-day mine+analyze paths on a fixed simulated
+workload and writes the numbers to ``BENCH_miner.json`` at the repo
+root:
 
 * **legacy** — per-entry scans: ``compute_hit_rates`` +
   ``DisposableZoneRanker.run_day`` + the entry-list analysis functions
   (daily report, hourly volumes, clients per name, CHR split);
 * **digest** — one ``build_day_digest`` pass + the columnar
-  counterparts (``run_digest`` and the ``*_from_digest`` analyses);
-* **calendar** — :class:`repro.core.mining_pipeline.CalendarMiner` at
-  1/2/4 workers (identical results, wall-clock only);
-* **result cache** — a cold session that stores every day's mining
-  result, then a warm session that replays it without mining.
+  counterparts (``run_digest`` and the ``*_from_digest`` analyses).
 
-Every timed path is asserted equal to the legacy oracle while being
-timed.  The recorded file captures ``cpu_count``/``available_cpus``;
-on a single schedulable core the multi-worker timings measure process
-overhead, not speedup, and are flagged ``constrained``.  Each parallel
-calendar run also records its IPC payload (``ipc_payload_bytes``, the
-packed digest-column bytes dispatched to workers) next to
-``legacy_pickle_payload_bytes``, what the retired dataset-pickling
-dispatch would have shipped (see docs/PERFORMANCE.md §6).  Timing
+The digest path's outputs are asserted equal to the legacy oracle's.
+The recorded file captures ``cpu_count``/``available_cpus``.  Timing
 lives here in ``tools/`` because ``src/repro`` is wall-clock-free by
 the determinism contract (reprolint R001).
 
@@ -41,9 +31,7 @@ import argparse
 import gc
 import json
 import os
-import pickle
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -68,8 +56,6 @@ from repro.core.hitrate import (compute_hit_rates,  # noqa: E402
 from repro.core.interning import build_day_digest  # noqa: E402
 from repro.core.labeling import build_training_set  # noqa: E402
 from repro.core.miner import MinerConfig  # noqa: E402
-from repro.core.mining_pipeline import (CalendarMiner,  # noqa: E402
-                                        MinerResultCache)
 from repro.core.parallelism import available_cpu_count  # noqa: E402
 from repro.core.ranking import (DailyMiningResult,  # noqa: E402
                                 DisposableZoneRanker,
@@ -82,11 +68,11 @@ from repro.traffic.simulate import PAPER_DATES, TraceSimulator  # noqa: E402
 OUTPUT = REPO_ROOT / "BENCH_miner.json"
 
 
-def _prepare(profile: ScaleProfile, n_days: int, n_events: Optional[int]
-             ) -> Tuple[List[FpDnsDataset], LadTreeClassifier]:
-    """Simulate the bench days plus the training day; train the model."""
-    bench_dates = PAPER_DATES[:n_days]
-    dates = sorted([*bench_dates, TRAINING_DATE], key=lambda d: d.day_index)
+def _prepare(profile: ScaleProfile, n_events: Optional[int]
+             ) -> Tuple[FpDnsDataset, LadTreeClassifier]:
+    """Simulate the bench day plus the training day; train the model."""
+    bench_date = PAPER_DATES[0]
+    dates = sorted([bench_date, TRAINING_DATE], key=lambda d: d.day_index)
     simulator = TraceSimulator(profile.simulator_config())
     days = dict(zip([date.label for date in dates],
                     simulator.run_days(dates, n_events=n_events)))
@@ -95,7 +81,7 @@ def _prepare(profile: ScaleProfile, n_days: int, n_events: Optional[int]
     extractor = FeatureExtractor(tree, hit_rates_from_digest(digest))
     training = build_training_set(simulator.labeled_zones(), tree, extractor)
     classifier = LadTreeClassifier().fit(training.X, training.y)
-    return [days[date.label] for date in bench_dates], classifier
+    return days[bench_date.label], classifier
 
 
 def _legacy_day(dataset: FpDnsDataset, classifier: LadTreeClassifier) -> tuple:
@@ -164,19 +150,18 @@ def _check_day_equal(legacy: tuple, digest: tuple) -> None:
     assert l_split.non_disposable_median == d_split.non_disposable_median
 
 
-def bench(profile: ScaleProfile, n_days: int,
+def bench(profile: ScaleProfile,
           n_events: Optional[int]) -> Dict[str, object]:
-    datasets, classifier = _prepare(profile, n_days, n_events)
+    day, classifier = _prepare(profile, n_events)
     results: Dict[str, object] = {
         "profile": profile.name,
-        "n_days": len(datasets),
+        "day": day.day,
         "events_per_day": n_events or profile.events_per_day,
         "cpu_count": os.cpu_count(),
         "available_cpus": available_cpu_count(),
         "python": sys.version.split()[0],
     }
 
-    # -- single day: legacy per-entry vs columnar digest -----------------
     # Grouped best-of-N with the collector paused — the ``timeit``
     # discipline.  All repeats of one path run back to back and the
     # minimum of each group is the comparable number; the GC is
@@ -186,7 +171,6 @@ def bench(profile: ScaleProfile, n_days: int,
     # allocation-pattern-dependent tax that drowns the real ratio on
     # the shared recording box.  Equality is asserted on the first
     # result of each group.
-    day = datasets[0]
     legacy_s = digest_s = float("inf")
     legacy = digest = None
     gc.collect()
@@ -212,76 +196,6 @@ def bench(profile: ScaleProfile, n_days: int,
     results["single_day_speedup"] = round(legacy_s / digest_s, 2)
     print(f"single day: legacy {legacy_s:.2f}s, digest {digest_s:.2f}s "
           f"(speedup {legacy_s / digest_s:.2f}x, output identical)")
-
-    # -- calendar mining at 1/2/4 workers --------------------------------
-    oracle = [DisposableZoneRanker(classifier, MinerConfig()).run_day(dataset)
-              for dataset in datasets]
-    # What the pre-columnar dispatch would have pickled to the pool:
-    # the datasets themselves, entry lists and all.  The digest-column
-    # dispatch's ``ipc_payload_bytes`` below is the after number.
-    legacy_payload = sum(
-        len(pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL))
-        for dataset in datasets)
-    results["legacy_pickle_payload_bytes"] = legacy_payload
-    print(f"legacy pickled payload: {legacy_payload} bytes")
-
-    serial_results: Optional[List[DailyMiningResult]] = None
-    calendar_timings: Dict[str, float] = {}
-    ipc_payloads: Dict[str, int] = {}
-    for n_workers in (1, 2, 4):
-        miner = CalendarMiner(classifier, MinerConfig(), n_workers=n_workers)
-        start = time.perf_counter()
-        mined = miner.mine_calendar(datasets)
-        elapsed = time.perf_counter() - start
-        for reference, candidate in zip(oracle, mined):
-            _check_results_equal(reference, candidate,
-                                 f"calendar(n_workers={n_workers})")
-        if serial_results is None:
-            serial_results = mined
-        else:
-            assert mined == serial_results, \
-                f"n_workers={n_workers} diverged from the 1-worker run"
-        calendar_timings[str(n_workers)] = round(elapsed, 3)
-        ipc = miner.last_ipc
-        assert ipc is not None
-        ipc_payloads[str(n_workers)] = ipc.payload_bytes
-        print(f"calendar n_workers={n_workers}: {elapsed:.2f}s "
-              f"(ipc {ipc.mode} {ipc.payload_bytes} bytes, "
-              "output identical)")
-        if ipc.payload_bytes:
-            results["ipc_mode"] = ipc.mode
-    results["calendar_s"] = calendar_timings
-    results["ipc_payload_bytes"] = ipc_payloads
-    if available_cpu_count() == 1:
-        # Multi-worker numbers on a single core measure process
-        # overhead, not parallel speedup — flag them so readers (and
-        # tooling) do not compare them against multi-core baselines.
-        results["constrained"] = True
-
-    # -- miner result cache: cold store, warm replay ---------------------
-    with tempfile.TemporaryDirectory() as tmp:
-        cold_cache = MinerResultCache(tmp)
-        cold_miner = CalendarMiner(classifier, MinerConfig(),
-                                   cache=cold_cache)
-        start = time.perf_counter()
-        cold = cold_miner.mine_calendar(datasets)
-        cold_s = time.perf_counter() - start
-        warm_cache = MinerResultCache(tmp)
-        warm_miner = CalendarMiner(classifier, MinerConfig(),
-                                   cache=warm_cache)
-        start = time.perf_counter()
-        warm = warm_miner.mine_calendar(datasets)
-        warm_s = time.perf_counter() - start
-        assert warm_cache.misses == 0, "warm session missed the cache"
-        assert warm == cold, "cache replay diverged from the cold run"
-        for reference, candidate in zip(oracle, warm):
-            _check_results_equal(reference, candidate, "cache replay")
-    results["cache_cold_s"] = round(cold_s, 3)
-    results["cache_warm_s"] = round(warm_s, 3)
-    results["cache_warm_speedup"] = round(cold_s / warm_s, 2)
-    print(f"result cache: cold {cold_s:.2f}s, warm {warm_s:.2f}s "
-          f"(speedup {cold_s / warm_s:.2f}x, {warm_cache.hits} hits, "
-          "output identical)")
     return results
 
 
@@ -295,12 +209,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        results = bench(SMALL, n_days=2, n_events=4_000)
+        results = bench(SMALL, n_events=4_000)
         results["mode"] = "quick"
         print(json.dumps(results, indent=2))
         return 0
 
-    results = bench(MEDIUM, n_days=3, n_events=None)
+    results = bench(MEDIUM, n_events=None)
     results["mode"] = "baseline"
     args.output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {args.output}")

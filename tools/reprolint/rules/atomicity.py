@@ -1,14 +1,14 @@
 """R008 atomic-cache-publish: cache writes must publish atomically.
 
-The on-disk caches (:mod:`repro.traffic.artifacts`,
-:mod:`repro.core.mining_pipeline`) are shared between concurrent
-processes — sharded simulators and calendar-miner workers all write to
-the same directory.  A cache method that opens the *final* path for
-writing exposes a torn-read window: a concurrent reader (or a crashed
-writer) sees a half-written blob.  Worse, two writers using the same
-fixed temp name (``<key>.tmp``) truncate each other mid-write.  The
-repo-wide contract is the one :class:`repro.core.artifact_store
-.ArtifactStore` implements: write to a per-process unique temp file
+The on-disk stores (:mod:`repro.traffic.artifacts`,
+:mod:`repro.pdns.store`) may be shared between concurrent processes —
+two sessions pointed at one directory both write to it.  A cache
+method that opens the *final* path for writing exposes a torn-read
+window: a concurrent reader (or a crashed writer) sees a half-written
+blob.  Worse, two writers using the same fixed temp name
+(``<key>.tmp``) truncate each other mid-write.  The repo-wide contract
+is the one :class:`repro.core.artifact_store.ArtifactStore`
+implements: write to a per-process unique temp file
 (``tempfile.mkstemp``) and publish with ``os.replace``.
 
 This rule flags file-writing calls inside methods of cache/store

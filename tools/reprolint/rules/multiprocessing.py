@@ -1,11 +1,11 @@
 """R007 picklable-workers: multiprocessing entry points must pickle.
 
-The sharded simulator (:mod:`repro.traffic.parallel`) fans work out to
-``multiprocessing`` pools.  Worker callables cross the process boundary
-by pickling, and pickle serialises functions *by qualified name*: a
-lambda or a function defined inside another function imports fine in
-the parent but raises ``PicklingError`` the first time a pool actually
-runs — typically only under a multi-worker configuration that the test
+Process pools (``reprolint --jobs``, for one) fan work out to worker
+processes.  Worker callables cross the process boundary by pickling,
+and pickle serialises functions *by qualified name*: a lambda or a
+function defined inside another function imports fine in the parent
+but raises ``PicklingError`` the first time a pool actually runs —
+typically only under a multi-worker configuration that the test
 suite's fast paths never exercise.  This rule makes that a static
 error instead.
 

@@ -1,8 +1,8 @@
 """Whole-program rules R011 and R012.
 
 Unlike R001–R010, these cannot be decided one file at a time: a worker
-entry point may live in ``traffic.parallel`` while the global it
-mutates sits three calls away in ``core``, and a cache key may be
+entry point may live in one package while the global it mutates sits
+three calls away in ``core``, and a cache key may be
 derived in ``core.keys`` from a value produced by a tainted helper in
 another package.  Both rules therefore run over
 :class:`~tools.reprolint.callgraph.ProgramFacts` — the module import
