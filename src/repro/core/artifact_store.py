@@ -26,9 +26,11 @@ this pattern.
 Load semantics
 --------------
 A missing, empty, unreadable or undecodable blob is a *miss*, never an
-error: caches must degrade to recomputation, not crash a session.  The
-decoder's exceptions are declared per call (``miss_on``) so unrelated
-bugs still surface.
+error: caches must degrade to recomputation, not crash a session.
+Decoders of the shared container (:mod:`repro.core.container`) signal
+a damaged blob with :class:`~repro.core.container.FormatError`, which
+is always a miss; a decoder with other failure modes declares them per
+call (``miss_on``), so unrelated bugs still surface.
 
 Prune policy
 ------------
@@ -49,8 +51,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Type, TypeVar, Union
 
-__all__ = ["ArtifactStore", "CorruptArtifact", "DirectoryStats",
-           "directory_stats", "prune_directory"]
+from repro.core.container import FormatError
+
+__all__ = ["ArtifactStore", "DirectoryStats", "directory_stats",
+           "prune_directory"]
 
 PathLike = Union[str, Path]
 
@@ -58,10 +62,6 @@ T = TypeVar("T")
 
 #: Suffix of in-flight temp files; never loaded, always safe to sweep.
 TMP_SUFFIX = ".tmp"
-
-
-class CorruptArtifact(ValueError):
-    """A stored blob failed validation (empty, truncated, bad checksum)."""
 
 
 class ArtifactStore:
@@ -91,16 +91,17 @@ class ArtifactStore:
 
         ``decode`` turns raw bytes into the cached value; any exception
         listed in ``miss_on`` (plus ``OSError``/``EOFError``/
-        :class:`CorruptArtifact`, which cover unreadable, truncated and
-        empty blobs) demotes the artifact to a miss.
+        :class:`~repro.core.container.FormatError`, which cover
+        unreadable, truncated, damaged and empty blobs) demotes the
+        artifact to a miss.
         """
         path = self.path_for(key)
         try:
             data = path.read_bytes()
             if not data:
-                raise CorruptArtifact(f"{path}: zero-length artifact")
+                raise FormatError(f"{path}: zero-length artifact")
             value = decode(data)
-        except (OSError, EOFError, CorruptArtifact) + miss_on:
+        except (OSError, EOFError, FormatError) + miss_on:
             self.misses += 1
             return None
         self.hits += 1

@@ -156,14 +156,12 @@ class ExperimentContext:
         self._datasets[date.label] = dataset
         self._last_day_index = date.day_index
         if store and self.artifacts is not None:
-            digest = None
-            if self.artifacts.format == "columnar":
-                # Encoding needs the day's digest anyway; build it once
-                # and memoise so the first analysis pass gets it free.
-                digest = self._digests.get(date.label)
-                if digest is None:
-                    digest = digest_of(dataset)
-                    self._digests[date.label] = digest
+            # Encoding needs the day's digest anyway; build it once and
+            # memoise so the first analysis pass gets it free.
+            digest = self._digests.get(date.label)
+            if digest is None:
+                digest = digest_of(dataset)
+                self._digests[date.label] = digest
             self.artifacts.store(
                 artifact_key(self.simulator.config, self._history), dataset,
                 digest=digest)
@@ -379,10 +377,7 @@ def _options_from_env() -> Tuple[Optional[FpDnsArtifactCache],
     datasets stay resident in memory (evicted days reload from the
     artifact cache).  Both leave every produced byte identical to the
     cache-less run — they only change wall-clock time and memory — so
-    reading them here does not violate the determinism contract.  (The
-    artifact cache additionally honours ``REPRO_ARTIFACT_FORMAT`` —
-    ``columnar`` default or ``tsv`` — which changes bytes on disk only,
-    never a loaded day's content; see :mod:`repro.traffic.artifacts`.)
+    reading them here does not violate the determinism contract.
     """
     cache_dir = os.environ.get("REPRO_ARTIFACT_CACHE")
     cache = FpDnsArtifactCache(cache_dir) if cache_dir else None

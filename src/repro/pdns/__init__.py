@@ -6,8 +6,8 @@ from repro.pdns.columnar import (ColumnarFpDnsDataset, load_fpdns2,
                                  save_fpdns2)
 from repro.pdns.database import (IngestReport, PassiveDnsDatabase,
                                  PdnsBackend, wildcard_name)
-from repro.pdns.io import (FormatError, iter_fpdns_entries, load_database,
-                           load_fpdns, save_database, save_fpdns)
+from repro.pdns.io import (FormatError, iter_fpdns_entries, load_fpdns,
+                           save_fpdns)
 from repro.pdns.query import IndexStats, PdnsQueryIndex
 from repro.pdns.segments import (Segment, SegmentMeta, build_segment_bytes,
                                  open_segment)
@@ -22,8 +22,7 @@ __all__ = [
     "PassiveDnsCollector",
     "IngestReport", "PassiveDnsDatabase", "PdnsBackend", "wildcard_name",
     "FpDnsDataset", "FpDnsEntry", "RpDnsEntry", "RRKey",
-    "FormatError", "iter_fpdns_entries", "load_database", "load_fpdns",
-    "save_database", "save_fpdns",
+    "FormatError", "iter_fpdns_entries", "load_fpdns", "save_fpdns",
     "ColumnarFpDnsDataset", "load_fpdns2", "save_fpdns2",
     "IndexStats", "PdnsQueryIndex",
     "Segment", "SegmentMeta", "build_segment_bytes", "open_segment",

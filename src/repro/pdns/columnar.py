@@ -14,13 +14,13 @@ with zero entry materialisation and no re-interning.
 
 On-disk layout
 --------------
-::
+One :mod:`repro.core.container` frame with a single block::
 
     #repro-fpdns2\\n                       magic line
-    {"version":1,"day":...,               one-line JSON header:
-     "payload_sha256":...,                 format version, day label,
-     "payload_bytes":N}\\n                 payload checksum and length
-    <npz payload>                         numpy ``savez`` archive
+    {"day":...,"payload_bytes":N,         one-line JSON header: day
+     "payload_sha256":...,                 label, payload length and
+     "version":2}\\n                       checksum, format version
+    <payload>                             RCOL1 column buffer
 
 The payload holds the :meth:`~repro.core.interning.DayDigest.to_columns`
 arrays — the interned name pool (``names_blob``/``names_offsets``),
@@ -28,17 +28,18 @@ the RR identity table over a deduplicated rdata pool, and one array
 per stream field — plus the *extra-rdata* columns
 (``below_xrdata_ids``/``above_xrdata_ids`` over ``xrdata_blob``):
 rdata strings carried by non-answer rows, which the digest proper
-drops but exact entry round-trip requires.  The header's
+drops but exact entry round-trip requires.  A warm load reads every
+column as a zero-copy view over the loaded bytes.  The header's
 ``payload_bytes``/``payload_sha256`` make truncation and corruption
-detectable before numpy ever parses a byte; any mismatch raises
-:class:`~repro.pdns.io.FormatError`, which the artifact cache treats
-as a miss.
+detectable before a column is read; any defect raises
+:class:`~repro.core.container.FormatError`, which the artifact cache
+treats as a miss.
 
 Compatibility
 -------------
-Headers written before the format dropped its ``content_key`` field
-still carry it.  The loader ignores header fields it does not read,
-so those artifacts load unchanged under the same version.
+Version 1 wrapped the same columns in an npz archive.  Its artifacts
+now fail the version check, so the cache re-simulates such a day once
+and overwrites the blob under the same key.
 
 :class:`ColumnarFpDnsDataset` is a drop-in
 :class:`~repro.core.records.FpDnsDataset`: ``below``/``above`` are
@@ -52,26 +53,24 @@ simulator nor the TSV loader produce — are not representable.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.container import (FormatError, pack_columns, read_frame,
+                                  unpack_columns, write_frame)
 from repro.core.dnstypes import RCode
 from repro.core.interning import (RRTYPE_BY_CODE, DayDigest,
                                   build_day_digest, decode_string_pool,
                                   encode_string_pool)
 from repro.core.records import FpDnsDataset, FpDnsEntry
-from repro.pdns.io import FormatError
 
 __all__ = ["FPDNS2_MAGIC", "FPDNS2_VERSION", "ColumnarFpDnsDataset",
            "dumps_fpdns2", "loads_fpdns2", "save_fpdns2", "load_fpdns2"]
 
 FPDNS2_MAGIC = b"#repro-fpdns2\n"
-FPDNS2_VERSION = 1
+FPDNS2_VERSION = 2
 
 PathLike = Union[str, Path]
 
@@ -219,62 +218,33 @@ def dumps_fpdns2(dataset: FpDnsDataset,
     xrdata_blob, xrdata_offsets = encode_string_pool(xrdata[2])
     columns["xrdata_blob"] = xrdata_blob
     columns["xrdata_offsets"] = xrdata_offsets
-    buffer = io.BytesIO()
-    np.savez(buffer, **columns)
-    payload = buffer.getvalue()
-    header = {
-        "version": FPDNS2_VERSION,
-        "day": digest.day,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "payload_bytes": len(payload),
-    }
-    header_line = json.dumps(header, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-    return FPDNS2_MAGIC + header_line + b"\n" + payload
+    return write_frame(FPDNS2_MAGIC,
+                       {"day": digest.day, "version": FPDNS2_VERSION},
+                       {"payload": pack_columns(columns)})
 
 
 def loads_fpdns2(data: bytes,
                  source: str = "<bytes>") -> ColumnarFpDnsDataset:
     """Deserialise :func:`dumps_fpdns2` output (the warm path).
 
-    Raises :class:`~repro.pdns.io.FormatError` — naming ``source`` —
-    on bad magic, unsupported version, truncation or checksum
-    mismatch; the artifact cache maps all of those to a miss.
+    The columns are zero-copy views over ``data``.  Raises
+    :class:`~repro.core.container.FormatError` — naming ``source`` —
+    on bad magic, unsupported version, truncation, checksum mismatch
+    or undecodable columns; the artifact cache maps all of those to a
+    miss.
     """
-    if not data.startswith(FPDNS2_MAGIC):
-        raise FormatError(f"{source}: not an fpDNS-v2 artifact "
-                          "(bad magic)")
-    header_end = data.find(b"\n", len(FPDNS2_MAGIC))
-    if header_end < 0:
-        raise FormatError(f"{source}: truncated fpDNS-v2 header")
-    try:
-        header = json.loads(data[len(FPDNS2_MAGIC):header_end]
-                            .decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise FormatError(f"{source}: bad fpDNS-v2 header: {exc}") from exc
-    version = header.get("version")
-    if version != FPDNS2_VERSION:
-        raise FormatError(f"{source}: unsupported fpDNS-v2 version "
-                          f"{version!r} (expected {FPDNS2_VERSION})")
-    payload = data[header_end + 1:]
-    expected_bytes = header.get("payload_bytes")
-    if len(payload) != expected_bytes:
-        raise FormatError(f"{source}: truncated fpDNS-v2 payload "
-                          f"({len(payload)} of {expected_bytes} bytes)")
-    checksum = hashlib.sha256(payload).hexdigest()
-    if checksum != header.get("payload_sha256"):
-        raise FormatError(f"{source}: fpDNS-v2 payload checksum mismatch")
+    header, (payload,) = read_frame(data, FPDNS2_MAGIC, FPDNS2_VERSION,
+                                    ("payload",), source)
     day = header.get("day")
     if not isinstance(day, str):
         raise FormatError(f"{source}: fpDNS-v2 header missing day")
+    columns = unpack_columns(payload, source)
     try:
-        with np.load(io.BytesIO(payload)) as archive:
-            columns = {name: archive[name] for name in archive.files}
         digest = DayDigest.from_columns(day, columns)
         xrdata = (columns["below_xrdata_ids"], columns["above_xrdata_ids"],
                   decode_string_pool(columns["xrdata_blob"],
                                      columns["xrdata_offsets"]))
-    except (KeyError, ValueError, OSError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"{source}: bad fpDNS-v2 payload: {exc}") from exc
     return ColumnarFpDnsDataset(day=day, digest=digest, xrdata=xrdata)
 

@@ -25,12 +25,12 @@ On-disk layout
     <payload block>                   pack_columns: string pools +
                                       row columns
 
-Both blocks use the :func:`repro.core.ipc.pack_columns` framing, so a
-reader maps the file and reads every array as a **zero-copy view** —
-no per-row Python objects exist until a query materialises its (few)
-matching rows.  The filters block is tiny and loaded eagerly at open;
-the payload block is mapped lazily on first data access and its
-checksum verified exactly once per open.
+The file is a :mod:`repro.core.container` frame and both blocks are
+RCOL1 column buffers, so a reader maps the file and reads every array
+as a **zero-copy view** — no per-row Python objects exist until a query
+materialises its (few) matching rows.  The filters block is tiny and
+loaded eagerly at open; the payload block is mapped lazily on first
+data access and its checksum verified exactly once per open.
 
 Determinism
 -----------
@@ -44,8 +44,10 @@ compaction determinism contract
 
 Corruption
 ----------
-Every structural defect raises :class:`repro.pdns.io.FormatError`
-naming the offending path: bad magic, bad or truncated header, wrong
+Every structural defect raises
+:class:`repro.core.container.FormatError` naming the offending path:
+bad magic, a bad, truncated or wrongly shaped header (including a
+``days`` field that is not a non-empty list of strings), wrong
 version, short file (length check against the header at open), filter
 or payload checksum mismatch, and undecodable blocks.  The store layer
 decides whether that is fatal (default) or skip-with-report.
@@ -54,19 +56,18 @@ decides whether that is fatal (default) or skip-with-report.
 from __future__ import annotations
 
 import hashlib
-import json
 import mmap
+import os
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.artifact_store import CorruptArtifact
+from repro.core.container import (FormatError, check_block, pack_columns,
+                                  read_header, unpack_columns, write_frame)
 from repro.core.interning import (RRTYPE_BY_CODE, RRTYPE_CODES,
                                   decode_string_pool, encode_string_pool)
-from repro.core.ipc import pack_columns, unpack_columns
 from repro.core.names import parent
 from repro.core.records import RpDnsEntry, RRKey, rr_sort_key
-from repro.pdns.io import FormatError
 
 __all__ = ["SEGMENT_MAGIC", "SEGMENT_SUFFIX", "SEGMENT_VERSION",
            "Segment", "SegmentMeta", "build_segment_bytes", "hash64",
@@ -205,19 +206,10 @@ def build_segment_bytes(rows: Mapping[RRKey, str],
         "zone_hashes": _sorted_hash_array(zone_hashes),
         "rr_hashes": _sorted_hash_array(rr_hashes),
     })
-    header = {
-        "days": day_pool,
-        "filters_bytes": len(filters),
-        "filters_sha256": hashlib.sha256(filters).hexdigest(),
-        "n_names": len(names),
-        "n_rows": len(ordered),
-        "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "version": SEGMENT_VERSION,
-    }
-    header_line = json.dumps(header, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-    return SEGMENT_MAGIC + header_line + b"\n" + filters + payload
+    return write_frame(SEGMENT_MAGIC,
+                       {"days": day_pool, "n_names": len(names),
+                        "n_rows": len(ordered), "version": SEGMENT_VERSION},
+                       {"filters": filters, "payload": payload})
 
 
 # -- reading -----------------------------------------------------------
@@ -306,49 +298,21 @@ class Segment:
 
     def _load_payload(self) -> Dict[str, np.ndarray]:
         try:
-            handle = open(self.path, "rb")
-        except OSError as exc:
-            raise FormatError(
-                f"{self.path}: cannot map segment payload: {exc}") from exc
-        try:
-            mapping = mmap.mmap(handle.fileno(), 0,
-                                access=mmap.ACCESS_READ)
+            with open(self.path, "rb") as handle:
+                # The mapping holds the pages on its own; the opener fd
+                # is only needed while creating it.
+                mapping = mmap.mmap(handle.fileno(), 0,
+                                    access=mmap.ACCESS_READ)
         except (OSError, ValueError) as exc:
-            handle.close()
             raise FormatError(
                 f"{self.path}: cannot map segment payload: {exc}") from exc
-        except BaseException:  # pragma: no cover - mmap raises OSError
-            handle.close()
-            raise
         try:
-            # The mapping holds the pages on its own; the opener fd is
-            # only needed while creating it.
-            handle.close()
             view = memoryview(mapping)[self._payload_start:]
-        except BaseException:  # pragma: no cover - memoryview of live map
-            mapping.close()
-            raise
-        try:
-            if len(view) != self.meta.payload_bytes:
-                raise FormatError(
-                    f"{self.path}: truncated segment payload "
-                    f"({len(view)} of {self.meta.payload_bytes} bytes)")
-            if (hashlib.sha256(view).hexdigest()
-                    != self.meta.payload_sha256):
-                raise FormatError(
-                    f"{self.path}: segment payload checksum mismatch")
+            check_block(view, self.meta.payload_bytes,
+                        self.meta.payload_sha256, "payload", self.path)
             columns = unpack_columns(view, source=self.path)
-        except CorruptArtifact as exc:
-            try:
-                view.release()
-            finally:
-                mapping.close()
-            raise FormatError(str(exc)) from exc
         except BaseException:
-            try:
-                view.release()
-            finally:
-                mapping.close()
+            _close_mapping(mapping)
             raise
         self._mmap = mapping
         return columns
@@ -360,12 +324,7 @@ class Segment:
         mapping = self._mmap
         self._mmap = None
         if mapping is not None:
-            try:
-                mapping.close()
-            except BufferError:
-                # A caller still holds a view; dropping our reference
-                # lets the mapping die with the last array.
-                pass
+            _close_mapping(mapping)
 
     # -- row materialisation -------------------------------------------
 
@@ -483,71 +442,56 @@ def _sorted_member(sorted_hashes: np.ndarray, value: int) -> bool:
             and int(sorted_hashes[position]) == value)
 
 
+def _close_mapping(mapping: mmap.mmap) -> None:
+    try:
+        mapping.close()
+    except BufferError:
+        # A view (a caller's array, or one an error traceback holds)
+        # still exports the mapping; dropping our reference lets it die
+        # with the last view.
+        pass
+
+
 def open_segment(path: str) -> Segment:
     """Open one segment: validate header + filters, defer the payload.
 
-    Raises :class:`~repro.pdns.io.FormatError` naming ``path`` on bad
-    magic, bad/truncated header, unsupported version, short file, or a
-    filter-block checksum mismatch.  Payload corruption surfaces (also
-    as :class:`~repro.pdns.io.FormatError`) on first data access.
+    Raises :class:`~repro.core.container.FormatError` naming ``path``
+    on bad magic, a bad, truncated or wrongly shaped header,
+    unsupported version, short file, or a filter-block checksum
+    mismatch.  Payload corruption surfaces (also as
+    :class:`~repro.core.container.FormatError`) on first data access.
     """
     try:
         with open(path, "rb") as handle:
-            prefix = handle.read(len(SEGMENT_MAGIC))
-            if prefix != SEGMENT_MAGIC:
-                raise FormatError(
-                    f"{path}: not a pdns segment (bad magic)")
-            header_line = handle.readline()
-            if not header_line.endswith(b"\n"):
-                raise FormatError(f"{path}: truncated segment header")
-            try:
-                header = json.loads(header_line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise FormatError(
-                    f"{path}: bad segment header: {exc}") from exc
-            version = header.get("version")
-            if version != SEGMENT_VERSION:
-                raise FormatError(
-                    f"{path}: unsupported segment version {version!r} "
-                    f"(expected {SEGMENT_VERSION})")
-            try:
-                meta = SegmentMeta(
-                    days=[str(day) for day in header["days"]],
-                    n_names=int(header["n_names"]),
-                    n_rows=int(header["n_rows"]),
-                    payload_sha256=str(header["payload_sha256"]),
-                    filters_bytes=int(header["filters_bytes"]),
-                    payload_bytes=int(header["payload_bytes"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(
-                    f"{path}: segment header missing fields: "
-                    f"{exc}") from exc
-            if not meta.days:
-                raise FormatError(f"{path}: segment header lists no days")
-            payload_start = handle.tell() + meta.filters_bytes
-            filters_blob = handle.read(meta.filters_bytes)
-            remaining = handle.seek(0, 2) - payload_start
+            header, (filters_bytes, payload_bytes) = read_header(
+                handle, SEGMENT_MAGIC, SEGMENT_VERSION,
+                ("filters", "payload"), os.fstat(handle.fileno()).st_size,
+                path)
+            filters_start = handle.tell()
+            filters_blob = handle.read(filters_bytes)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read segment: {exc}") from exc
-    if len(filters_blob) != meta.filters_bytes or remaining < 0:
-        raise FormatError(
-            f"{path}: truncated segment filter block "
-            f"({len(filters_blob)} of {meta.filters_bytes} bytes)")
-    if remaining != meta.payload_bytes:
-        raise FormatError(
-            f"{path}: truncated segment payload "
-            f"({remaining} of {meta.payload_bytes} bytes)")
-    if (hashlib.sha256(filters_blob).hexdigest()
-            != header.get("filters_sha256")):
-        raise FormatError(f"{path}: segment filter checksum mismatch")
+    check_block(filters_blob, filters_bytes, header.get("filters_sha256"),
+                "filters", path)
+    days = header.get("days")
+    if (not isinstance(days, list) or not days
+            or not all(isinstance(day, str) for day in days)):
+        raise FormatError(f"{path}: segment header days {days!r} is not "
+                          "a non-empty list of strings")
     try:
-        filters = unpack_columns(filters_blob, source=path)
-    except CorruptArtifact as exc:
-        raise FormatError(str(exc)) from exc
+        meta = SegmentMeta(days=days, n_names=int(header["n_names"]),
+                           n_rows=int(header["n_rows"]),
+                           payload_sha256=str(header["payload_sha256"]),
+                           filters_bytes=filters_bytes,
+                           payload_bytes=payload_bytes)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: segment header missing fields: {exc}") from exc
+    filters = unpack_columns(filters_blob, source=path)
     for required in ("name_hashes", "rdata_hashes", "zone_hashes",
                      "rr_hashes"):
         if required not in filters:
             raise FormatError(
                 f"{path}: segment filter block missing {required!r}")
     return Segment(path=path, meta=meta, filters=filters,
-                   payload_start=payload_start)
+                   payload_start=filters_start + filters_bytes)

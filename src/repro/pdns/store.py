@@ -42,11 +42,11 @@ pruned blob is recomputable).
 Corruption
 ----------
 ``on_corrupt="raise"`` (default) propagates
-:class:`~repro.pdns.io.FormatError` naming the bad file;
+:class:`~repro.core.container.FormatError` naming the bad file;
 ``on_corrupt="skip"`` quarantines the segment — it stops serving
 queries and is reported via :meth:`corrupt_segments` — whether the
 damage surfaces at open (header/filters) or lazily at first payload
-access (checksum mismatch).
+access (checksum mismatch, undecodable columns).
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 import numpy as np
 
 from repro.core.artifact_store import ArtifactStore
+from repro.core.container import FormatError
 from repro.core.groups import matching_group_zone
 from repro.core.interning import DayDigest
 from repro.core.records import FpDnsDataset, RpDnsEntry, RRKey
 from repro.pdns.database import IngestReport
-from repro.pdns.io import FormatError
 from repro.pdns.segments import (SEGMENT_SUFFIX, Segment,
                                  build_segment_bytes, hash64, hash_rr_key,
                                  open_segment)

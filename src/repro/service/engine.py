@@ -18,7 +18,7 @@ Two code paths produce :class:`Verdict` objects:
   no interning, no caching, one fresh ``depth_groups`` walk and one
   1-row ``decision_function`` call per qname.  Slow by construction;
   it defines the semantics.
-* :meth:`ClassificationEngine.classify_batch` — the fast path, three
+* :meth:`ClassificationEngine.classify_batch` — the fast path, two
   cache levels deep.  Every qname first probes a per-qname verdict
   memo (one dict get — legal because the engine's tree, hit rates and
   model are immutable for its lifetime, so a qname's verdict can
@@ -200,20 +200,13 @@ class ClassificationEngine:
         self._extractor = FeatureExtractor(tree, hit_rates)
         self._suffixes = suffixes or default_suffix_list()
         self.cache = VerdictCache(self.config.cache_size)
-        # Per-qname resolution memo for the batch path (normalize +
-        # effective-2LD + depth are pure string work, and live traffic
-        # repeats the same names endlessly).  Bounded by periodic
-        # reset: when full it is cleared outright, which keeps the
-        # daemon's footprint flat without LRU bookkeeping on the
-        # per-name hot path.
-        self._resolve_memo: Dict[str, Tuple[str, str, int,
-                                            Optional[str]]] = {}
-        self._resolve_memo_limit = max(8 * self.config.cache_size, 65_536)
         # Front-line qname → Verdict memo for the batch path.  The
         # engine's tree, hit-rate table and model never change after
         # construction, so a qname's verdict is a pure function of the
-        # engine — memoised verdicts can never go stale.  Same bounded
-        # clear-outright policy as the resolve memo.
+        # engine — memoised verdicts can never go stale.  Bounded by
+        # periodic reset: when full it is cleared outright, which keeps
+        # the daemon's footprint flat without LRU bookkeeping on the
+        # per-name hot path.
         self._verdict_memo: Dict[str, Verdict] = {}
         self._verdict_memo_limit = max(16 * self.config.cache_size, 65_536)
         # Monotonic counters for /metrics (ints; read without locking).
@@ -255,18 +248,6 @@ class ClassificationEngine:
         if depth <= label_count(zone):
             return name, zone, depth, "zone-apex"
         return name, zone, depth, None
-
-    def _resolve_cached(self, qname: str) -> Tuple[str, str, int,
-                                                   Optional[str]]:
-        """Memoised :meth:`_resolve` — batch path only; the oracle
-        (:meth:`classify_one`) deliberately stays cache-free."""
-        hit = self._resolve_memo.get(qname)
-        if hit is None:
-            if len(self._resolve_memo) >= self._resolve_memo_limit:
-                self._resolve_memo.clear()
-            hit = self._resolve(qname)
-            self._resolve_memo[qname] = hit
-        return hit
 
     def _terminal(self, qname: str, zone: str, depth: int,
                   reason: str) -> Verdict:
@@ -367,7 +348,7 @@ class ClassificationEngine:
         # Resolve each distinct qname once: either a terminal verdict
         # or a (zone, depth) group key.
         resolved: List[Tuple[str, str, int, Optional[str]]] = [
-            self._resolve_cached(raw) for raw in table.names]
+            self._resolve(raw) for raw in table.names]
         # Group keys whose verdict is not cached, in first-appearance
         # order (deterministic extraction order).
         pending: "OrderedDict[GroupKey, Optional[List[str]]]" = OrderedDict()
@@ -460,14 +441,13 @@ class ClassificationEngine:
     # -- maintenance -------------------------------------------------------
 
     def clear_caches(self) -> None:
-        """Forget every memoised verdict and resolution — the engine's
-        cold-start state.  Counters are kept.  (Values can never go
+        """Forget every memoised verdict — the engine's cold-start
+        state.  Counters are kept.  (Values can never go
         *stale* — the engine is immutable — so this exists for
         benchmarking cold paths and for reclaiming memory, not for
         correctness.)"""
         self.cache.clear()
         self._verdict_memo.clear()
-        self._resolve_memo.clear()
 
     # -- metrics -----------------------------------------------------------
 

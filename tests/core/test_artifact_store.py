@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from repro.core.artifact_store import (ArtifactStore, CorruptArtifact,
-                                       directory_stats, prune_directory)
+from repro.core.artifact_store import (ArtifactStore, directory_stats,
+                                       prune_directory)
+from repro.core.container import FormatError
 
 
 def decode_utf8(data):
@@ -64,7 +65,7 @@ class TestStoreLoad:
         store.store_bytes("k", b"data")
 
         def decode_validating(data):
-            raise CorruptArtifact("bad checksum")
+            raise FormatError("bad checksum")
 
         assert store.load("k", decode_validating) is None
 

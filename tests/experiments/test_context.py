@@ -106,50 +106,43 @@ class TestAcceleratedContext:
         assert day._below_entries is None       # no materialisation
         assert day._above_entries is None
 
-    @pytest.mark.parametrize("artifact_format", ["columnar", "tsv"])
-    def test_mining_identical_across_formats_and_workers(self, tmp_path,
-                                                         artifact_format):
-        """The paper's outputs are invariant under the storage backend,
+    def test_mining_identical_across_formats_and_workers(self, tmp_path):
+        """The paper's outputs are invariant under the artifact cache,
         a wall-clock knob only."""
         baseline = ExperimentContext(TINY)
         expected = baseline.mining_result(PAPER_DATES[0])
 
-        root = tmp_path / artifact_format
-        cache = FpDnsArtifactCache(root, artifact_format=artifact_format)
+        cache = FpDnsArtifactCache(tmp_path)
         ExperimentContext(TINY, artifact_cache=cache).dataset(PAPER_DATES[0])
         warm = ExperimentContext(
-            TINY, artifact_cache=FpDnsArtifactCache(
-                root, artifact_format=artifact_format))
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
         assert warm.mining_result(PAPER_DATES[0]) == expected
 
-    def test_digest_equal_across_formats(self, tmp_path):
-        """Digest columns from a columnar load equal those built from a
-        TSV load of the same day."""
-        import numpy as np
+    def test_stale_version_blob_is_resimulated_and_overwritten(
+            self, tmp_path):
+        """A blob of an older fpDNS-v2 version is a miss: the day is
+        simulated again and its blob rewritten under the same key."""
+        from repro.pdns.columnar import FPDNS2_VERSION
 
-        from repro.core.interning import STREAM_FIELDS
+        cold = ExperimentContext(TINY, artifact_cache=FpDnsArtifactCache(
+            tmp_path))
+        expected = cold.dataset(PAPER_DATES[0])
+        paths = sorted(tmp_path.glob("*.fpdns2"))
+        current = f'"version":{FPDNS2_VERSION}'.encode()
+        for path in paths:
+            path.write_bytes(path.read_bytes().replace(current,
+                                                       b'"version":1'))
 
-        day = PAPER_DATES[0]
-        for artifact_format in ("columnar", "tsv"):
-            cache = FpDnsArtifactCache(tmp_path / artifact_format,
-                                       artifact_format=artifact_format)
-            ExperimentContext(TINY, artifact_cache=cache).dataset(day)
-
-        contexts = {
-            artifact_format: ExperimentContext(
-                TINY, artifact_cache=FpDnsArtifactCache(
-                    tmp_path / artifact_format,
-                    artifact_format=artifact_format))
-            for artifact_format in ("columnar", "tsv")}
-        d_col = contexts["columnar"].digest(day)
-        d_tsv = contexts["tsv"].digest(day)
-        assert list(d_col.names.names) == list(d_tsv.names.names)
-        assert d_col.rr_keys == d_tsv.rr_keys
-        for which in ("below", "above"):
-            for field in STREAM_FIELDS:
-                assert np.array_equal(
-                    getattr(getattr(d_col, which), field),
-                    getattr(getattr(d_tsv, which), field)), (which, field)
+        stale = FpDnsArtifactCache(tmp_path)
+        assert ExperimentContext(
+            TINY, artifact_cache=stale).dataset(PAPER_DATES[0]) == expected
+        # The first miss sends the session to the simulator, which
+        # stores every day it produces.
+        assert (stale.hits, stale.misses) == (0, 1)
+        assert sorted(tmp_path.glob("*.fpdns2")) == paths
+        warm = FpDnsArtifactCache(tmp_path)
+        ExperimentContext(TINY, artifact_cache=warm).dataset(PAPER_DATES[0])
+        assert (warm.hits, warm.misses) == (len(paths), 0)
 
     def test_resident_days_bounds_memory_and_reloads(self, tmp_path):
         """With ``resident_days`` set, at most that many per-entry

@@ -5,17 +5,15 @@ round-trip assertion compares the columnar load against the plain
 dataset (entry lists, digest columns).
 """
 
-import json
-
 import numpy as np
 import pytest
 
+from repro.core.container import FormatError
 from repro.core.interning import STREAM_FIELDS, build_day_digest
 from repro.dns.message import RCode, RRType
-from repro.pdns.columnar import (FPDNS2_MAGIC, ColumnarFpDnsDataset,
-                                 dumps_fpdns2, load_fpdns2, loads_fpdns2,
-                                 save_fpdns2)
-from repro.pdns.io import FormatError
+from repro.pdns.columnar import (FPDNS2_MAGIC, FPDNS2_VERSION,
+                                 ColumnarFpDnsDataset, dumps_fpdns2,
+                                 load_fpdns2, loads_fpdns2, save_fpdns2)
 from repro.pdns.records import FpDnsDataset, FpDnsEntry
 
 
@@ -58,27 +56,13 @@ def assert_digest_equal(built, loaded):
             assert a1.dtype == a2.dtype, (which, field)
 
 
-def with_content_key(data):
-    """``data`` with the header field older writers still emitted:
-    ``content_key`` was dropped from fpDNS-v2 without a version bump,
-    so artifacts that carry it must keep loading."""
-    header_end = data.index(b"\n", len(FPDNS2_MAGIC))
-    header = json.loads(data[len(FPDNS2_MAGIC):header_end])
-    header["content_key"] = "0" * 64
-    header_line = json.dumps(header, sort_keys=True,
-                             separators=(",", ":")).encode("utf-8")
-    return FPDNS2_MAGIC + header_line + data[header_end:]
-
-
 class TestRoundTrip:
     def test_exact_entry_roundtrip(self, dataset):
-        blob = dumps_fpdns2(dataset)
-        for data in (blob, with_content_key(blob)):
-            loaded = loads_fpdns2(data)
-            assert isinstance(loaded, ColumnarFpDnsDataset)
-            assert loaded.day == dataset.day
-            assert loaded.below == dataset.below
-            assert loaded.above == dataset.above
+        loaded = loads_fpdns2(dumps_fpdns2(dataset))
+        assert isinstance(loaded, ColumnarFpDnsDataset)
+        assert loaded.day == dataset.day
+        assert loaded.below == dataset.below
+        assert loaded.above == dataset.above
 
     def test_equality_both_directions(self, dataset):
         loaded = loads_fpdns2(dumps_fpdns2(dataset))
@@ -125,6 +109,14 @@ class TestRoundTrip:
 
 
 class TestLazyViews:
+    def test_columns_are_views_over_the_loaded_bytes(self, dataset):
+        blob = dumps_fpdns2(dataset)
+        stream = loads_fpdns2(blob).day_digest().below
+        for field in STREAM_FIELDS:
+            column = getattr(stream, field)
+            assert not column.flags.owndata, field
+            assert not column.flags.writeable, field
+
     def test_digest_access_does_not_materialize(self, dataset):
         loaded = loads_fpdns2(dumps_fpdns2(dataset))
         loaded.day_digest().queried_domains()
@@ -166,14 +158,24 @@ class TestCorruption:
             loads_fpdns2(FPDNS2_MAGIC + b'{"version":1')
 
     def test_bad_header_json(self):
-        with pytest.raises(FormatError, match="header"):
-            loads_fpdns2(FPDNS2_MAGIC + b"not json\n")
+        current = f'"version":{FPDNS2_VERSION}'
+        for line in ("not json", "[1]", '"text"',
+                     "{%s}" % current,
+                     '{"payload_bytes":-1,%s}' % current,
+                     '{"payload_bytes":"0",%s}' % current,
+                     '{"payload_bytes":true,%s}' % current):
+            with pytest.raises(FormatError, match="header"):
+                loads_fpdns2(FPDNS2_MAGIC + line.encode() + b"\n")
 
     def test_wrong_version(self, dataset):
         data = dumps_fpdns2(dataset)
-        data = data.replace(b'"version":1', b'"version":99', 1)
-        with pytest.raises(FormatError, match="version"):
-            loads_fpdns2(data)
+        current = f'"version":{FPDNS2_VERSION}'.encode()
+        assert data.count(current) == 1
+        # Version 1 (the npz payload) is rejected like any other.
+        for version in (99, 1):
+            stale = data.replace(current, f'"version":{version}'.encode())
+            with pytest.raises(FormatError, match="version"):
+                loads_fpdns2(stale)
 
     def test_truncated_payload(self, dataset):
         data = dumps_fpdns2(dataset)

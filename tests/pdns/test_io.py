@@ -5,10 +5,8 @@ import gzip
 import pytest
 
 from repro.dns.message import RCode, RRType
-from repro.pdns.database import PassiveDnsDatabase
-from repro.pdns.io import (FormatError, dumps_fpdns, iter_fpdns_entries,
-                           load_database, load_fpdns, loads_fpdns,
-                           save_database, save_fpdns)
+from repro.pdns.io import (FormatError, iter_fpdns_entries, load_fpdns,
+                           save_fpdns)
 from repro.pdns.records import FpDnsDataset, FpDnsEntry
 
 
@@ -78,11 +76,6 @@ class TestFpDnsRoundTrip:
         with pytest.raises(FormatError):
             load_fpdns(path)
 
-    def test_bytes_roundtrip(self, dataset):
-        loaded = loads_fpdns(dumps_fpdns(dataset))
-        assert loaded.below == dataset.below
-        assert loaded.above == dataset.above
-
 
 _ENTRY_LINE = "B\t1.0\t1\ta.com\tA\tNOERROR\t60\t1.1.1.1\n"
 
@@ -122,8 +115,7 @@ class TestBlankLines:
 
 
 class TestErrorsNameSource:
-    """Every FormatError message carries the offending file path (or
-    '<bytes>' for in-memory payloads)."""
+    """Every FormatError message carries the offending file path."""
 
     def test_bad_header_names_path(self, tmp_path):
         path = tmp_path / "bad-header.gz"
@@ -147,45 +139,3 @@ class TestErrorsNameSource:
             handle.write(_ENTRY_LINE + "\n" + _ENTRY_LINE)
         with pytest.raises(FormatError, match="gap.gz"):
             load_fpdns(path)
-
-    def test_in_memory_payload_named_bytes(self):
-        with pytest.raises(FormatError, match="<bytes>"):
-            loads_fpdns(gzip.compress(b"not-a-header\n"))
-
-    def test_database_errors_name_path(self, tmp_path):
-        path = tmp_path / "bad-db.gz"
-        with gzip.open(path, "wt") as handle:
-            handle.write("#repro-rpdns-v1\n")
-            handle.write("a.com\tA\n")
-        with pytest.raises(FormatError, match="bad-db.gz"):
-            load_database(path)
-
-
-class TestDatabaseRoundTrip:
-    def test_roundtrip(self, tmp_path):
-        db = PassiveDnsDatabase()
-        db.ingest_rrs("2011-11-28", [("a.com", RRType.A, "1.1.1.1"),
-                                     ("b.com", RRType.A, "2.2.2.2")])
-        db.ingest_rrs("2011-11-29", [("c.com", RRType.CNAME, "a.com")])
-        path = tmp_path / "db.tsv.gz"
-        assert save_database(db, path) == 3
-        loaded = load_database(path)
-        assert len(loaded) == 3
-        assert loaded.first_seen(("a.com", RRType.A, "1.1.1.1")) == \
-            "2011-11-28"
-        assert loaded.first_seen(("c.com", RRType.CNAME, "a.com")) == \
-            "2011-11-29"
-        assert loaded.new_records_per_day() == {"2011-11-28": 2,
-                                                "2011-11-29": 1}
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.gz"
-        with gzip.open(path, "wt") as handle:
-            handle.write("#repro-fpdns-v1\tx\n")
-        with pytest.raises(FormatError):
-            load_database(path)
-
-    def test_empty_database(self, tmp_path):
-        path = tmp_path / "empty.gz"
-        assert save_database(PassiveDnsDatabase(), path) == 0
-        assert len(load_database(path)) == 0

@@ -22,6 +22,16 @@ def sample_rows():
     }
 
 
+def rewrite_header(data, header_json):
+    """``data`` with its header line replaced by ``header_json``, a
+    function of the parsed header returning the new JSON value."""
+    header_end = data.index(b"\n", len(SEGMENT_MAGIC))
+    header = json.loads(data[len(SEGMENT_MAGIC):header_end])
+    line = json.dumps(header_json(header), sort_keys=True,
+                      separators=(",", ":")).encode()
+    return SEGMENT_MAGIC + line + data[header_end:]
+
+
 def write_segment(tmp_path, rows=None, days=None, name="seg.pdnsseg"):
     data = build_segment_bytes(rows if rows is not None else sample_rows(),
                                days=days)
@@ -99,6 +109,20 @@ class TestDeterminism:
         assert build_segment_bytes(rows, days=days) == \
             build_segment_bytes(rows, days=list(reversed(days)))
 
+    def test_layout_is_pinned(self):
+        """Existing stores must keep opening: the bytes of a known
+        segment are fixed across commits."""
+        rows = {
+            ("a.example.com", RRType.A, "192.0.2.1"): "2011-02-01",
+            ("x.b.example.com", RRType.AAAA, "2001:db8::1"): "2011-02-02",
+            ("a.example.com", RRType.CNAME, "b.example.com"): "2011-02-01",
+        }
+        data = build_segment_bytes(
+            rows, days=["2011-02-01", "2011-02-02", "2011-02-03"])
+        assert len(data) == 1890
+        assert hashlib.sha256(data).hexdigest() == (
+            "e9d268650ee17befdeb2a183fe96c9553550f4780a4c1a6cc6cf1d640ad8a1d9")
+
     def test_row_day_outside_day_list_rejected(self):
         with pytest.raises(ValueError, match="2011-02-24"):
             build_segment_bytes(sample_rows(), days=["2011-02-22",
@@ -149,13 +173,25 @@ class TestCorruptionMatrix:
 
     def test_unsupported_version(self, tmp_path):
         path, data = write_segment(tmp_path)
-        header_end = data.index(b"\n", len(SEGMENT_MAGIC))
-        header = json.loads(data[len(SEGMENT_MAGIC):header_end])
-        header["version"] = 99
-        line = json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode()
-        path.write_bytes(SEGMENT_MAGIC + line + data[header_end:])
+        path.write_bytes(rewrite_header(
+            data, lambda header: dict(header, version=99)))
         with pytest.raises(FormatError, match="version"):
+            open_segment(str(path))
+
+    @pytest.mark.parametrize("header_json", [
+        lambda header: [1],
+        lambda header: dict(header, filters_bytes=-1),
+        lambda header: dict(header, filters_bytes=10 ** 30),
+        lambda header: dict(header, payload_bytes="12"),
+        lambda header: dict(header, days="2011-02-22"),
+        lambda header: dict(header, days=[]),
+        lambda header: dict(header, days=[20110222]),
+    ], ids=["not-an-object", "negative-length", "huge-length",
+            "string-length", "string-days", "no-days", "int-days"])
+    def test_wrongly_shaped_header(self, tmp_path, header_json):
+        path, data = write_segment(tmp_path)
+        path.write_bytes(rewrite_header(data, header_json))
+        with pytest.raises(FormatError, match=str(path)):
             open_segment(str(path))
 
     def test_truncated_payload(self, tmp_path):

@@ -1,14 +1,18 @@
 """Segmented store tests: oracle equality, compaction, corruption."""
 
 import hashlib
+import io
+import json
 
 import pytest
 
+from repro.core.container import (FormatError, read_frame, read_header,
+                                  write_frame)
 from repro.core.records import rr_sort_key
 from repro.dns.message import RRType
 from repro.pdns.database import PassiveDnsDatabase, PdnsBackend
-from repro.pdns.io import FormatError
-from repro.pdns.segments import SEGMENT_SUFFIX, build_segment_bytes
+from repro.pdns.segments import (SEGMENT_MAGIC, SEGMENT_SUFFIX,
+                                 SEGMENT_VERSION, build_segment_bytes)
 from repro.pdns.store import SegmentedPdnsStore
 
 DAYS = [f"2011-04-{day:02d}" for day in range(1, 9)]
@@ -281,6 +285,29 @@ class TestPrefilterCounters:
         assert "segments" in stats.render()
 
 
+def string_days(data):
+    """A segment whose header ``days`` is one string, not a list."""
+    handle = io.BytesIO(data)
+    header, _ = read_header(handle, SEGMENT_MAGIC, SEGMENT_VERSION,
+                            ("filters", "payload"), len(data), "<t>")
+    header["days"] = header["days"][0]
+    line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return SEGMENT_MAGIC + line.encode() + b"\n" + data[handle.tell():]
+
+
+def foreign_payload(data):
+    """A segment as a foreign writer might emit it: every checksum
+    matches, but the payload's column header names an unknown dtype."""
+    header, (filters, payload) = read_frame(
+        data, SEGMENT_MAGIC, SEGMENT_VERSION, ("filters", "payload"), "<t>")
+    fields = {key: header[key]
+              for key in ("days", "n_names", "n_rows", "version")}
+    broken = bytes(payload).replace(b'"dtype":"<i4"', b'"dtype":"zzz"')
+    assert broken != payload
+    return write_frame(SEGMENT_MAGIC, fields,
+                       {"filters": bytes(filters), "payload": broken})
+
+
 class TestCorruption:
     def _corrupt_one(self, root, flip=-4):
         path = sorted(root.glob("*.pdnsseg"))[0]
@@ -297,25 +324,40 @@ class TestCorruption:
 
     def test_skip_mode_reports_and_serves_the_rest(self, tmp_path):
         populate(SegmentedPdnsStore(tmp_path))
-        bad = self._corrupt_one(tmp_path, flip=20)
-        store = SegmentedPdnsStore(tmp_path, on_corrupt="skip")
-        reports = store.corrupt_segments()
-        assert [str(bad)] == [path for path, _ in reports]
-        assert str(bad) in reports[0][1]
-        assert store.stats().corrupt_segments == 1
-        key = day_keys(5)[0]
-        assert store.first_seen(key) == DAYS[5]
+        bad = sorted(tmp_path.glob("*.pdnsseg"))[0]
+        pristine = bad.read_bytes()
+        flipped = bytearray(pristine)
+        flipped[20] ^= 0xFF
+        # Header damage, then headers that are valid JSON of the wrong
+        # shape: not an object, and a days field that is one string.
+        for damaged in (bytes(flipped), SEGMENT_MAGIC + b"[1]\n",
+                        string_days(pristine)):
+            bad.write_bytes(damaged)
+            store = SegmentedPdnsStore(tmp_path, on_corrupt="skip")
+            reports = store.corrupt_segments()
+            assert [str(bad)] == [path for path, _ in reports]
+            assert str(bad) in reports[0][1]
+            assert store.stats().corrupt_segments == 1
+            key = day_keys(5)[0]
+            assert store.first_seen(key) == DAYS[5]
 
     def test_lazy_payload_corruption_quarantines_in_skip_mode(
             self, tmp_path):
         populate(SegmentedPdnsStore(tmp_path))
-        bad = self._corrupt_one(tmp_path, flip=-4)  # payload damage
-        store = SegmentedPdnsStore(tmp_path, on_corrupt="skip")
-        assert not store.corrupt_segments()  # opens fine, filters OK
-        keys = store.rr_keys()  # forces every payload
-        assert keys
-        assert [str(bad)] == [path
-                              for path, _ in store.corrupt_segments()]
+        bad = sorted(tmp_path.glob("*.pdnsseg"))[0]
+        pristine = bad.read_bytes()
+        flipped = bytearray(pristine)
+        flipped[-4] ^= 0xFF
+        # Payload damage, then an undecodable payload whose checksum
+        # matches.
+        for damaged in (bytes(flipped), foreign_payload(pristine)):
+            bad.write_bytes(damaged)
+            store = SegmentedPdnsStore(tmp_path, on_corrupt="skip")
+            assert not store.corrupt_segments()  # opens fine, filters OK
+            keys = store.rr_keys()  # forces every payload
+            assert keys
+            assert [str(bad)] == [path
+                                  for path, _ in store.corrupt_segments()]
 
     def test_lazy_payload_corruption_raises_by_default(self, tmp_path):
         populate(SegmentedPdnsStore(tmp_path))

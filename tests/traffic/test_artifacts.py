@@ -5,12 +5,10 @@ import gzip
 import pytest
 
 from repro.dns.message import RCode, RRType
-from repro.pdns.columnar import ColumnarFpDnsDataset
+from repro.pdns.columnar import FPDNS2_MAGIC, FPDNS2_VERSION
 from repro.pdns.records import FpDnsDataset, FpDnsEntry
-from repro.traffic.artifacts import (ARTIFACT_FORMAT, ARTIFACT_FORMATS,
-                                     COLUMNAR_SUFFIX, TSV_SUFFIX,
-                                     FpDnsArtifactCache,
-                                     artifact_format_from_env, artifact_key)
+from repro.traffic.artifacts import (ARTIFACT_FORMAT, COLUMNAR_SUFFIX,
+                                     FpDnsArtifactCache, artifact_key)
 from repro.traffic.population import PopulationConfig
 from repro.traffic.simulate import PAPER_DATES, SimulatorConfig
 from repro.traffic.workload import WorkloadConfig
@@ -81,7 +79,7 @@ class TestCacheStore:
         assert loaded.above == dataset.above
 
     def test_lossless_timestamps(self, tmp_path):
-        """Full float precision survives the gzip-TSV round trip."""
+        """Full float precision survives the artifact round trip."""
         cache = FpDnsArtifactCache(tmp_path)
         cache.store("k", make_dataset())
         loaded = cache.load("k")
@@ -98,7 +96,7 @@ class TestCacheStore:
     def test_corrupt_artifact_is_a_miss(self, tmp_path):
         cache = FpDnsArtifactCache(tmp_path)
         cache.store("k", make_dataset())
-        # Truncate the gzip stream mid-payload.
+        # Truncate the blob mid-payload.
         path = cache.path_for("k")
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
@@ -136,39 +134,16 @@ class TestCacheStore:
 
 
 class TestFormatSelection:
-    def test_default_is_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_ARTIFACT_FORMAT", raising=False)
-        assert artifact_format_from_env() == "columnar"
-        assert FpDnsArtifactCache(tmp_path).format == "columnar"
-
-    def test_env_selects_tsv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_FORMAT", "tsv")
-        assert artifact_format_from_env() == "tsv"
-        cache = FpDnsArtifactCache(tmp_path)
-        assert cache.format == "tsv"
-        cache.store("k", make_dataset())
-        assert cache.path_for("k").suffix == ".gz"
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_FORMAT", "parquet")
-        with pytest.raises(ValueError):
-            artifact_format_from_env()
-
-    def test_explicit_format_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_FORMAT", "tsv")
-        assert FpDnsArtifactCache(
-            tmp_path, artifact_format="columnar").format == "columnar"
-
-    def test_suffixes_differ(self, tmp_path):
-        columnar = FpDnsArtifactCache(tmp_path, artifact_format="columnar")
-        tsv = FpDnsArtifactCache(tmp_path, artifact_format="tsv")
-        assert columnar.path_for("k").name == f"k{COLUMNAR_SUFFIX}"
-        assert tsv.path_for("k").name == f"k{TSV_SUFFIX}"
+    def test_only_columnar_is_accepted(self, tmp_path):
+        assert FpDnsArtifactCache(tmp_path, "columnar").path_for("k").name \
+            == f"k{COLUMNAR_SUFFIX}"
+        with pytest.raises(ValueError, match="tsv"):
+            FpDnsArtifactCache(tmp_path, "tsv")
 
 
-@pytest.mark.parametrize("artifact_format", ARTIFACT_FORMATS)
+@pytest.mark.parametrize("artifact_format", ["columnar"])
 class TestBothBackends:
-    """The store/load contract holds identically for both backends."""
+    """The store/load contract, for the backend named explicitly."""
 
     def test_roundtrip(self, tmp_path, artifact_format):
         cache = FpDnsArtifactCache(tmp_path, artifact_format=artifact_format)
@@ -182,8 +157,8 @@ class TestBothBackends:
 
     def test_corruption_matrix_every_mode_is_a_miss(self, tmp_path,
                                                     artifact_format):
-        """Truncation, bitflip, wrong version/format, zero-length:
-        always a miss, never an exception."""
+        """Truncation, bitflip, wrong version/format, zero-length,
+        wrongly shaped header: always a miss, never an exception."""
         cache = FpDnsArtifactCache(tmp_path, artifact_format=artifact_format)
         cache.store("k", make_dataset())
         pristine = cache.path_for("k").read_bytes()
@@ -198,7 +173,11 @@ class TestBothBackends:
         corrupt(bytes(flipped))                       # payload bitflip
         corrupt(b"#some-other-format\ngarbage")       # wrong format tag
         corrupt(b"")                                  # zero-length
-        assert cache.misses == 4
+        corrupt(FPDNS2_MAGIC + b"[1]\n")              # header not an object
+        current = f'"version":{FPDNS2_VERSION}'.encode()
+        corrupt(pristine.replace(current, b'"version":1'))  # old version
+        corrupt(pristine.replace(current, current + b',"payload_bytes":-1'))
+        assert cache.misses == 7
         # The pristine bytes still load fine afterwards.
         cache.path_for("k").write_bytes(pristine)
         assert cache.load("k") == make_dataset()
@@ -211,32 +190,10 @@ class TestBothBackends:
 
 
 class TestCrossFormatEquality:
-    def test_loaded_days_identical_across_backends(self, tmp_path):
-        dataset = make_dataset()
-        columnar = FpDnsArtifactCache(tmp_path / "c",
-                                      artifact_format="columnar")
-        tsv = FpDnsArtifactCache(tmp_path / "t", artifact_format="tsv")
-        columnar.store("k", dataset)
-        tsv.store("k", dataset)
-        from_columnar = columnar.load("k")
-        from_tsv = tsv.load("k")
-        assert isinstance(from_columnar, ColumnarFpDnsDataset)
-        assert from_columnar == from_tsv
-        assert from_tsv.below == from_columnar.below
-        assert from_tsv.above == from_columnar.above
-
-    def test_columnar_roundtrips_a_tsv_loaded_day(self, tmp_path):
-        """tsv -> load -> columnar store -> load is still the same day."""
-        dataset = make_dataset()
-        tsv = FpDnsArtifactCache(tmp_path, artifact_format="tsv")
-        tsv.store("k", dataset)
-        relay = FpDnsArtifactCache(tmp_path, artifact_format="columnar")
-        relay.store("k", tsv.load("k"))
-        assert relay.load("k") == dataset
-
     def test_backends_share_key_material(self):
-        """Keys are format-independent: a day simulated once can be
-        stored under both suffixes with the same key."""
+        """Keys name the day, not the blob layout: a new fpDNS-v2
+        version keeps every key, so a stale blob is overwritten in place
+        instead of stranded."""
         key = artifact_key(SimulatorConfig(), PAPER_DATES[:1])
         assert ARTIFACT_FORMAT in ("repro-fpdns-cache-v1",)
         assert key == artifact_key(SimulatorConfig(), PAPER_DATES[:1])

@@ -1,8 +1,10 @@
-"""Record the artifact-store IO baseline: gzip-TSV vs fpDNS-v2 columnar.
+"""Record the fpDNS IO baseline: gzip-TSV interchange vs fpDNS-v2 files.
 
-Times both storage backends of the fpDNS artifact cache on a fixed
-simulated workload and writes the numbers to ``BENCH_io.json`` at the
-repo root:
+Times the two on-disk fpDNS formats on a fixed simulated workload and
+writes the numbers to ``BENCH_io.json`` at the repo root: the gzip-TSV
+interchange format of :mod:`repro.pdns.io` and the fpDNS-v2 binary
+columnar format that the artifact cache stores
+(:mod:`repro.pdns.columnar`).
 
 * **save** — serialise each bench day to disk (``save_fpdns`` vs
   ``save_fpdns2``);
@@ -10,14 +12,14 @@ repo root:
   and rebuilds every entry; ``load_fpdns2`` hands back numpy columns
   and a pre-built digest);
 * **warm end-to-end** — the real warm-session path: load every day
-  from disk, take its digest, mine it.  For the TSV backend that is
-  load -> build_day_digest -> mine; for columnar it is disk -> numpy
+  from disk, take its digest, mine it.  For TSV files that is
+  load -> build_day_digest -> mine; for fpDNS-v2 it is disk -> numpy
   -> digest -> mine with zero entry materialisation.
 
 Every timed path is asserted equal to the in-memory oracle while being
 timed: loaded days compare equal to the simulated originals (entry
 lists and digest columns) and mining results are identical across
-backends.  Timing lives here in ``tools/`` because ``src/repro`` is
+formats.  Timing lives here in ``tools/`` because ``src/repro`` is
 wall-clock-free by the determinism contract (reprolint R001).
 
 Usage::
