@@ -124,6 +124,10 @@ class ArtifactStore:
         concurrent writers of the same key cannot clobber each other's
         half-written file; ``os.replace`` makes the publish atomic and
         last-writer-wins.
+
+        Atomic, not durable: neither the file nor its directory is
+        fsynced.  After a process crash a reader sees either the old
+        blob or the new one; after a power loss it may see neither.
         """
         path = self.path_for(key)
         fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=f"{key}.",

@@ -188,20 +188,12 @@ def _run_serve(argv: Sequence[str]) -> int:
     parser.add_argument("--cache-size", type=int, default=4096,
                         help="verdict-cache capacity in (zone, depth) "
                              "entries (default: 4096)")
-    parser.add_argument("--max-batch", type=int, default=512,
-                        help="qnames per coalesced engine call "
-                             "(default: 512)")
-    parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                        help="micro-batching window in milliseconds "
-                             "(default: 2.0)")
     args = parser.parse_args(argv)
 
     settings = ServeSettings(
         host=args.host, port=args.port, profile=args.profile,
         model_path=args.model, threshold=args.threshold,
-        min_group_size=args.min_group_size, cache_size=args.cache_size,
-        max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1000.0)
+        min_group_size=args.min_group_size, cache_size=args.cache_size)
     print(f"preparing engine (profile={settings.profile}, "
           f"model={settings.model_path or 'trained in-process'}) ...")
     server = build_server(settings)
@@ -213,7 +205,6 @@ def _run_serve(argv: Sequence[str]) -> int:
     except KeyboardInterrupt:
         print("shutting down")
     finally:
-        server.batcher.close()
         server.server_close()
     return 0
 

@@ -38,8 +38,6 @@ class ServeSettings:
     threshold: float = 0.9
     min_group_size: int = 5
     cache_size: int = 4096
-    max_batch: int = 512
-    batch_window_s: float = 0.002
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(threshold=self.threshold,
@@ -78,6 +76,4 @@ def build_server(settings: ServeSettings,
     """A bound (not yet serving) daemon for ``settings``."""
     if engine is None:
         engine = build_engine(settings)
-    return make_server(engine, settings.host, settings.port,
-                       max_batch=settings.max_batch,
-                       window_s=settings.batch_window_s)
+    return make_server(engine, settings.host, settings.port)

@@ -3,11 +3,11 @@
 Endpoints:
 
 * ``POST /classify`` — body ``{"qname": "x.example.com"}`` for a
-  single verdict, or ``{"qnames": [...]}`` for a batch.  Both shapes
-  go through the shared :class:`~repro.service.batching.MicroBatcher`,
-  so concurrent requests coalesce into one vectorised engine call.
+  single verdict, or ``{"qnames": [...]}`` for a batch.  Either shape
+  is one vectorised ``classify_batch`` call, made on the request's own
+  handler thread under the server's engine lock.
 * ``GET /metrics`` — Prometheus-style text exposition of the request,
-  engine, verdict-cache and batcher counters.
+  engine, verdict-cache and classify-call counters.
 * ``GET /healthz`` — liveness probe.
 
 Built on ``http.server.ThreadingHTTPServer`` only — the repo has no
@@ -17,12 +17,12 @@ web-framework dependency and the daemon must not grow one.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.service.batching import MicroBatcher
-from repro.service.engine import ClassificationEngine
+from repro.service.engine import ClassificationEngine, Verdict
 
 __all__ = ["ClassifyServer", "make_server", "MAX_BODY_BYTES",
            "MAX_BATCH_NAMES"]
@@ -33,22 +33,43 @@ MAX_BODY_BYTES = 1_048_576
 #: Per-request qname cap; larger batches get 400.
 MAX_BATCH_NAMES = 10_000
 
+#: Bounds on draining a connection the server closes (64 KiB a read).
+LINGER_READS = 64
+LINGER_TIMEOUT_S = 1.0
+
 
 class ClassifyServer(ThreadingHTTPServer):
-    """Threaded HTTP server owning the engine and its micro-batcher."""
+    """Threaded HTTP server owning the engine.
+
+    Each request is classified on its own handler thread; one lock
+    serialises engine access, since the engine's caches and counters
+    are not thread-safe.
+    """
 
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int],
-                 engine: ClassificationEngine, *,
-                 max_batch: int = 512, window_s: float = 0.002) -> None:
+                 engine: ClassificationEngine) -> None:
         super().__init__(address, _ClassifyHandler)
         self.engine = engine
-        self.batcher = MicroBatcher(engine.classify_batch,
-                                    max_batch=max_batch, window_s=window_s)
+        self._engine_lock = threading.Lock()
+        self._classify_calls = 0
+        self._classify_names = 0
         self._counter_lock = threading.Lock()
         self._requests: Dict[str, int] = {}
         self._errors = 0
+
+    def classify(self, qnames: Sequence[str]) -> List[Verdict]:
+        """One engine call for one request's qnames.
+
+        ``classify_batch`` is looked up per call, so a wrapper set on
+        the engine after the server was built still sees every call.
+        """
+        with self._engine_lock:
+            verdicts = self.engine.classify_batch(qnames)
+            self._classify_calls += 1
+            self._classify_names += len(qnames)
+        return verdicts
 
     def count_request(self, endpoint: str) -> None:
         with self._counter_lock:
@@ -63,9 +84,8 @@ class ClassifyServer(ThreadingHTTPServer):
             return dict(self._requests), self._errors
 
     def close(self) -> None:
-        """Stop accepting, drain the batcher, release the socket."""
+        """Stop the ``serve_forever`` loop and release the socket."""
         self.shutdown()
-        self.batcher.close()
         self.server_close()
 
     # -- metrics rendering ----------------------------------------------
@@ -97,9 +117,20 @@ class ClassifyServer(ThreadingHTTPServer):
         for name, value in self.engine.stats().items():
             counters[f"repro_serve_engine_{name}_total"] = (
                 f"Engine {name.replace('_', ' ')}.", value)
-        for name, value in self.batcher.stats().items():
-            counters[f"repro_serve_batcher_{name}_total"] = (
-                f"Micro-batcher {name.replace('_', ' ')}.", value)
+        # ``repro_serve_batcher_*`` names stay because the benchmark
+        # (bench/workloads.py) reads them: each classify request is one
+        # batch, and none is coalesced.
+        calls, names = self._classify_calls, self._classify_names
+        counters.update({
+            "repro_serve_batcher_batches_total":
+                ("Engine calls, one per classify request.", calls),
+            "repro_serve_batcher_requests_total":
+                ("Classify requests answered.", calls),
+            "repro_serve_batcher_names_total":
+                ("Qnames in classify requests.", names),
+            "repro_serve_batcher_coalesced_requests_total":
+                ("Requests sharing another's engine call (always 0).", 0),
+        })
         for name, (help_text, value) in sorted(counters.items()):
             lines.append(f"# HELP {name} {help_text}")
             lines.append(f"# TYPE {name} counter")
@@ -116,6 +147,14 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
 
     server: ClassifyServer
     protocol_version = "HTTP/1.1"
+    # One send per response, never held back.  A buffered ``wfile``
+    # collects the headers and the body until ``handle_one_request``
+    # flushes it, so a response up to the 8 KiB buffer is one write;
+    # with Nagle off no write waits for the peer's ACK.  Without both,
+    # the body of a two-write response waits for the client's delayed
+    # ACK, about 40 ms per keep-alive request.
+    disable_nagle_algorithm = True
+    wbufsize = -1
 
     # -- plumbing -------------------------------------------------------
 
@@ -123,21 +162,57 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
         """Silence per-request stderr logging (the daemon serves QPS,
         not logs; observability goes through /metrics)."""
 
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
+    def finish(self) -> None:
+        """Flush, then close the connection in stages (RFC 9112 §9.6).
+
+        Closing a socket with unread input makes TCP send a reset,
+        which can reach the client before it has read the last
+        response, or while it is still sending a body that response
+        refused.  So stop writing first, then discard what the client
+        still sends until it closes, for at most ``LINGER_READS``
+        reads of ``LINGER_TIMEOUT_S`` each.  A client that closed
+        first costs one read that returns at once.
+        """
+        super().finish()
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(LINGER_TIMEOUT_S)
+            for _ in range(LINGER_READS):
+                if not self.connection.recv(65536):
+                    break
+        except OSError:     # reset, timeout, or already disconnected
+            pass
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must leave now, not with the final response:
+        # the client sends the body only once it has seen it.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _send(self, status: int, body: bytes, content_type: str, *,
+              close: bool = False) -> None:
         if status >= 400:
             self.server.count_error()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Sets ``close_connection`` too.  Needed whenever the
+            # request body was not read: kept alive, the stream would
+            # parse that body as the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_json(self, status: int, payload: object) -> None:
+    def _send_json(self, status: int, payload: object, *,
+                   close: bool = False) -> None:
         self._send(status, json.dumps(payload).encode("utf-8"),
-                   "application/json")
+                   "application/json", close=close)
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    def _send_error_json(self, status: int, message: str, *,
+                         close: bool = False) -> None:
+        self._send_json(status, {"error": message}, close=close)
 
     # -- GET ------------------------------------------------------------
 
@@ -155,17 +230,20 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
     # -- POST /classify --------------------------------------------------
 
     def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after an error response that
+        closes the connection (the body is left unread)."""
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._send_error_json(400, "invalid Content-Length")
+            self._send_error_json(400, "invalid Content-Length", close=True)
             return None
         if length <= 0:
-            self._send_error_json(400, "missing request body")
+            self._send_error_json(400, "missing request body", close=True)
             return None
         if length > MAX_BODY_BYTES:
             self._send_error_json(
-                413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+                413, f"request body exceeds {MAX_BODY_BYTES} bytes",
+                close=True)
             return None
         return self.rfile.read(length)
 
@@ -205,7 +283,8 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         if self.path != "/classify":
-            self._send_error_json(404, f"unknown path {self.path!r}")
+            self._send_error_json(404, f"unknown path {self.path!r}",
+                                  close=True)
             return
         self.server.count_request("/classify")
         body = self._read_body()
@@ -215,7 +294,7 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
         if parsed is None:
             return
         qnames, is_batch = parsed
-        verdicts = self.server.batcher.submit(qnames)
+        verdicts = self.server.classify(qnames)
         if is_batch:
             self._send_json(200, {"verdicts": [verdict.to_json()
                                                for verdict in verdicts]})
@@ -224,9 +303,7 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
 
 
 def make_server(engine: ClassificationEngine, host: str = "127.0.0.1",
-                port: int = 0, *, max_batch: int = 512,
-                window_s: float = 0.002) -> ClassifyServer:
+                port: int = 0) -> ClassifyServer:
     """Bind a :class:`ClassifyServer`; ``port=0`` picks an ephemeral
     port (read it back from ``server.server_address``)."""
-    return ClassifyServer((host, port), engine,
-                          max_batch=max_batch, window_s=window_s)
+    return ClassifyServer((host, port), engine)

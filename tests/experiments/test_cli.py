@@ -134,7 +134,7 @@ class TestServeCommand:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--host", "--port", "--profile", "--model",
-                     "--threshold", "--max-batch", "--batch-window-ms"):
+                     "--threshold", "--min-group-size", "--cache-size"):
             assert flag in out
 
     def test_serve_rejects_unknown_profile(self, capsys):
@@ -151,10 +151,6 @@ class TestServeCommand:
         class StubServer:
             server_address = ("127.0.0.1", 43210)
 
-            class batcher:  # noqa: N801 - attribute stand-in
-                close = staticmethod(lambda: captured.setdefault(
-                    "batcher_closed", True))
-
             def serve_forever(self):
                 captured["served"] = True
                 raise KeyboardInterrupt
@@ -168,16 +164,13 @@ class TestServeCommand:
 
         monkeypatch.setattr(service_app, "build_server", fake_build_server)
         assert cli.main(["serve", "--port", "0", "--profile", "small",
-                         "--threshold", "0.8", "--batch-window-ms", "1.5",
-                         "--cache-size", "128"]) == 0
+                         "--threshold", "0.8", "--cache-size", "128"]) == 0
         settings = captured["settings"]
         assert settings.port == 0
         assert settings.threshold == 0.8
         assert settings.cache_size == 128
-        assert settings.batch_window_s == pytest.approx(0.0015)
         assert captured["served"]
         assert captured["closed"]
-        assert captured["batcher_closed"]
         assert "shutting down" in capsys.readouterr().out
 
 

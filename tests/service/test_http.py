@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service.http import MAX_BATCH_NAMES, make_server
+from repro.service.http import MAX_BATCH_NAMES, MAX_BODY_BYTES, make_server
 
 
 @pytest.fixture
 def server(tiny_engine):
-    instance = make_server(tiny_engine, port=0, window_s=0.0)
+    instance = make_server(tiny_engine, port=0)
     thread = threading.Thread(target=instance.serve_forever, daemon=True)
     thread.start()
     yield instance
@@ -39,6 +43,27 @@ def _get(server, path: str):
     with urllib.request.urlopen(_url(server, path),
                                 timeout=10) as response:
         return response.status, response.read().decode("utf-8")
+
+
+def _connection(server) -> http.client.HTTPConnection:
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=10)
+
+
+def _post_on(conn: http.client.HTTPConnection, body: bytes,
+             path: str = "/classify"):
+    """One POST on a caller-owned (keep-alive) connection."""
+    conn.request("POST", path, body=body,
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+def _metric(body: str, name: str) -> int:
+    for line in body.splitlines():
+        if line.startswith(name + " "):
+            return int(line.rpartition(" ")[2])
+    raise AssertionError(f"{name} missing from /metrics")
 
 
 class TestClassify:
@@ -133,3 +158,135 @@ class TestBadRequests:
         self._status_of(lambda: _get(server, "/nope"))
         _, body = _get(server, "/metrics")
         assert "repro_serve_request_errors_total 1" in body
+
+
+class TestKeepAlive:
+    def test_back_to_back_requests_do_not_stall(self, server, tiny_stream):
+        """Each response leaves in one send with Nagle off; a response
+        held back until the client's delayed ACK took ~44 ms."""
+        body = json.dumps({"qnames": tiny_stream[:8]}).encode("utf-8")
+        conn = _connection(server)
+        try:
+            _post_on(conn, body)            # connect outside the clock
+            start = time.perf_counter()
+            for _ in range(50):
+                status, _ = _post_on(conn, body)
+                assert status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 1.0, f"50 keep-alive requests took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("path, body, status", [
+        ("/nope", b'{"qname": "a.com"}', 404),
+        ("/classify", b"x" * (MAX_BODY_BYTES + 1), 413),
+    ], ids=["unknown-path", "oversized-body"])
+    def test_unread_body_does_not_poison_the_connection(
+            self, server, tiny_stream, path, body, status):
+        """An error answered before the body was read closes the
+        connection, so the next request is not parsed from that body."""
+        qnames = tiny_stream[:5]
+        oracle = [server.engine.classify_one(q).to_json() for q in qnames]
+        conn = _connection(server)
+        try:
+            assert _post_on(conn, body, path)[0] == status
+            code, payload = _post_on(
+                conn, json.dumps({"qnames": qnames}).encode("utf-8"))
+        finally:
+            conn.close()
+        assert code == 200
+        assert json.loads(payload)["verdicts"] == oracle
+
+    def test_expect_continue_is_answered_before_the_body(self, server,
+                                                         tiny_stream):
+        """The interim 100 leaves at once, not with the final response:
+        the client holds its body back until it arrives."""
+        body = json.dumps({"qname": tiny_stream[0]}).encode("utf-8")
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=2) as sock:
+            sock.sendall(b"POST /classify HTTP/1.1\r\nHost: test\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            assert sock.recv(64).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert (json.loads(response.read())
+                    == server.engine.classify_one(tiny_stream[0]).to_json())
+
+
+class TestEngineLock:
+    def test_engine_error_reaches_caller_and_releases_lock(
+            self, server, tiny_stream, monkeypatch):
+        """``classify`` looks the engine method up per call (a wrapper
+        set after the server was built sees it), lets the engine's
+        error through, and leaves the lock free for the next call."""
+        def broken(qnames):
+            raise RuntimeError("engine down")
+
+        monkeypatch.setattr(server.engine, "classify_batch", broken)
+        with pytest.raises(RuntimeError, match="engine down"):
+            server.classify(tiny_stream[:2])
+        monkeypatch.undo()
+        assert server.classify(tiny_stream[:2]) == [
+            server.engine.classify_one(q) for q in tiny_stream[:2]]
+
+
+class TestConcurrency:
+    THREADS = 8
+    REQUESTS = 20
+    NAMES = 3
+
+    def test_concurrent_connections_each_get_their_verdicts(
+            self, server, tiny_stream):
+        """Eight keep-alive clients at once: every response carries
+        exactly its own request's verdicts, and each request is one
+        engine call of its own."""
+        per_thread = self.REQUESTS * self.NAMES
+        slices = [[tiny_stream[start + r * self.NAMES:
+                               start + (r + 1) * self.NAMES]
+                   for r in range(self.REQUESTS)]
+                  for start in range(0, self.THREADS * per_thread,
+                                     per_thread)]
+        oracle = [[[server.engine.classify_one(q).to_json() for q in names]
+                   for names in requests] for requests in slices]
+        results = {}
+        errors = []
+
+        def client(index: int) -> None:
+            conn = _connection(server)
+            try:
+                for names in slices[index]:
+                    status, payload = _post_on(
+                        conn, json.dumps({"qnames": names}).encode("utf-8"))
+                    assert status == 200
+                    results.setdefault(index, []).append(
+                        json.loads(payload)["verdicts"])
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads often: no lost update
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert [results[index] for index in range(self.THREADS)] == oracle
+        _, body = _get(server, "/metrics")
+        requests = self.THREADS * self.REQUESTS
+        assert _metric(body, "repro_serve_batcher_requests_total") == requests
+        assert _metric(body, "repro_serve_batcher_batches_total") == requests
+        assert (_metric(body, "repro_serve_batcher_names_total")
+                == requests * self.NAMES)
+        assert _metric(body,
+                       "repro_serve_batcher_coalesced_requests_total") == 0
