@@ -8,7 +8,7 @@ as density grows — the justification for treating the Figure 2 gap as
 a shape, not an absolute (DESIGN.md Section 5).
 """
 
-from repro.experiments.report import format_table
+from repro.textutil import format_table
 from repro.traffic.population import PopulationConfig
 from repro.traffic.simulate import (MeasurementDate, SimulatorConfig,
                                     TraceSimulator)

@@ -5,17 +5,17 @@ miner's disposable classification: popular names spread across the
 subscriber base, disposable names stay with their emitting hosts.
 """
 
-from repro.analysis.clients import clients_per_name
-from repro.experiments.report import format_kv, format_percent
+from repro.analysis.clients import clients_per_name_from_digest
+from repro.textutil import format_kv, format_percent
 from repro.traffic.simulate import PAPER_DATES
 
 
 def test_bench_ext_client_spread(benchmark, medium_context):
     date = PAPER_DATES[-1]
-    dataset = medium_context.dataset(date)
+    digest = medium_context.digest(date)
     groups = medium_context.mined_groups(date)
 
-    report = benchmark(clients_per_name, dataset, groups)
+    report = benchmark(clients_per_name_from_digest, digest, groups)
     print()
     print(format_kv([
         ("disposable median clients/name", report.disposable_median),

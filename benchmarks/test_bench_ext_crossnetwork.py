@@ -9,11 +9,12 @@ services survive the unanimity quorum, while vantage-point artifacts
 from repro.core.classifier import LadTreeClassifier
 from repro.core.crossnetwork import compare_networks
 from repro.core.features import FeatureExtractor
-from repro.core.hitrate import compute_hit_rates
+from repro.core.hitrate import hit_rates_from_digest
+from repro.core.interning import build_day_digest
 from repro.core.labeling import build_training_set
 from repro.core.miner import MinerConfig
-from repro.core.ranking import DisposableZoneRanker, build_tree_for_day
-from repro.experiments.report import format_percent, format_table
+from repro.core.ranking import DisposableZoneRanker, build_tree_from_digest
+from repro.textutil import format_percent, format_table
 from repro.traffic.simulate import (MeasurementDate, PopulationConfig,
                                     SimulatorConfig, TraceSimulator,
                                     WorkloadConfig)
@@ -29,14 +30,15 @@ def mine_network(workload_seed: int):
         workload=WorkloadConfig(events_per_day=15_000, n_clients=150,
                                 seed=workload_seed))
     simulator = TraceSimulator(config)
-    day = simulator.run_day(MeasurementDate("probe", 313, 0.9))
-    hit_rates = compute_hit_rates(day)
-    tree = build_tree_for_day(day)
+    digest = build_day_digest(
+        simulator.run_day(MeasurementDate("probe", 313, 0.9)))
+    hit_rates = hit_rates_from_digest(digest)
+    tree = build_tree_from_digest(digest)
     extractor = FeatureExtractor(tree, hit_rates)
     training = build_training_set(simulator.labeled_zones(), tree, extractor)
     classifier = LadTreeClassifier().fit(training.X, training.y)
-    return DisposableZoneRanker(classifier,
-                                MinerConfig()).run_day(day, hit_rates).groups
+    return DisposableZoneRanker(classifier, MinerConfig()).run_digest(
+        digest, hit_rates).groups
 
 
 def test_bench_ext_crossnetwork(benchmark):

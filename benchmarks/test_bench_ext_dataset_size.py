@@ -6,7 +6,7 @@ and December days in wire-format bytes and attributes the growth to
 the rising share of (long-named) disposable records.
 """
 
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 from repro.pdns.sizing import estimate_dataset_size
 from repro.traffic.simulate import PAPER_DATES
 

@@ -8,7 +8,7 @@ totals, and persistence split.
 """
 
 from repro.core.tracking import ZoneTracker
-from repro.experiments.report import format_table
+from repro.textutil import format_table
 from repro.traffic.simulate import PAPER_DATES, RPDNS_WINDOW_DATES
 
 

@@ -5,7 +5,7 @@ ignore RFC 2308; this bench quantifies how much upstream NXDOMAIN
 traffic honoring the negative cache removes.
 """
 
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 from repro.impact.negative_cache import run_negative_cache_study
 from repro.traffic.diurnal import SECONDS_PER_DAY
 

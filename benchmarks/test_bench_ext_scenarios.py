@@ -8,8 +8,9 @@ compliance) at a glance.
 
 from dataclasses import replace
 
-from repro.analysis.summary import build_daily_report
-from repro.experiments.report import format_percent, format_table
+from repro.analysis.summary import build_daily_report_from_digest
+from repro.core.interning import build_day_digest
+from repro.textutil import format_percent, format_table
 from repro.traffic.scenarios import scenario, scenario_names
 from repro.traffic.simulate import MeasurementDate, TraceSimulator
 
@@ -22,9 +23,9 @@ def probe(name: str):
     simulator = TraceSimulator(config)
     simulator.run_day(MeasurementDate("warm", 330, 0.9))
     day = simulator.run_day(MeasurementDate("probe", 331, 0.9))
-    report = build_daily_report(day,
-                                disposable_groups=
-                                simulator.disposable_truth())
+    report = build_daily_report_from_digest(
+        build_day_digest(day),
+        disposable_groups=simulator.disposable_truth())
     return name, report
 
 

@@ -9,7 +9,7 @@ experienced by *non-disposable* queries, and mean resolution latency.
 Run:  python examples/cache_impact_study.py
 """
 
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 from repro.impact.cache_pressure import run_cache_pressure_study
 from repro.traffic.simulate import (MeasurementDate, PopulationConfig,
                                     SimulatorConfig, TraceSimulator,

@@ -10,7 +10,7 @@ signature-validation workload.
 Run:  python examples/dnssec_cost_study.py
 """
 
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 from repro.impact.dnssec_cost import run_dnssec_study
 from repro.traffic.simulate import (MeasurementDate, PopulationConfig,
                                     SimulatorConfig, TraceSimulator,

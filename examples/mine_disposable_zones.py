@@ -11,7 +11,7 @@ Run:  python examples/mine_disposable_zones.py
 
 from repro.analysis.growth import growth_series
 from repro.experiments.context import SMALL, ExperimentContext
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 from repro.traffic.simulate import PAPER_DATES
 
 

@@ -10,7 +10,7 @@ Run:  python examples/pdns_storage_study.py
 """
 
 from repro.experiments.context import SMALL, ExperimentContext
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 from repro.impact.pdns_storage import run_pdns_storage_study
 from repro.traffic.simulate import RPDNS_WINDOW_DATES
 

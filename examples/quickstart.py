@@ -16,10 +16,11 @@ Run:  python examples/quickstart.py
 
 from repro.core.classifier import LadTreeClassifier
 from repro.core.features import FeatureExtractor
-from repro.core.hitrate import compute_hit_rates
+from repro.core.hitrate import hit_rates_from_digest
+from repro.core.interning import build_day_digest
 from repro.core.labeling import build_training_set
 from repro.core.miner import DisposableZoneMiner, MinerConfig
-from repro.core.ranking import build_tree_for_day
+from repro.core.ranking import build_tree_from_digest
 from repro.traffic.simulate import (MeasurementDate, PopulationConfig,
                                     SimulatorConfig, TraceSimulator,
                                     WorkloadConfig)
@@ -42,12 +43,14 @@ def main() -> None:
           f"{len(day.resolved_domains()):,} resolved, "
           f"{len(day.distinct_rrs()):,} distinct resource records")
 
-    # 2. Hit rates from the two monitored streams.
-    hit_rates = compute_hit_rates(day)
+    # 2. Hit rates from the two monitored streams, via the day's
+    #    columnar digest (one pass over the entries).
+    digest = build_day_digest(day)
+    hit_rates = hit_rates_from_digest(digest)
     print(f"  zero-DHR long tail: {hit_rates.zero_dhr_fraction():.1%} of RRs")
 
     # 3. Domain name tree + feature extractor.
-    tree = build_tree_for_day(day)
+    tree = build_tree_from_digest(digest)
     extractor = FeatureExtractor(tree, hit_rates)
 
     # 4. Train on the labeled zones and mine (Algorithm 1, theta=0.9).

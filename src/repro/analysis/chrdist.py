@@ -10,17 +10,14 @@ are exactly zero while non-disposable zones keep a "natural" spread
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.analysis.cdf import EmpiricalCdf
 from repro.core.hitrate import HitRateTable, hit_rates_from_digest
 from repro.core.interning import DayDigest
 from repro.core.names import is_subdomain
-from repro.core.ranking import name_matches_groups
 
-__all__ = ["chr_cdf", "chr_cdf_for_zones", "ChrSplit", "chr_split",
+__all__ = ["chr_cdf", "chr_cdf_for_zones", "ChrSplit",
            "chr_split_from_digest"]
 
 
@@ -60,33 +57,14 @@ class ChrSplit:
         return 1.0 - self.non_disposable.at(threshold)
 
 
-def chr_split(hit_rates: HitRateTable,
-              disposable_groups: Set[Tuple[str, int]]) -> ChrSplit:
-    """Split the day's CHR samples by (zone, depth) disposability."""
-    disposable_records = []
-    other_records = []
-    for record in hit_rates.records():
-        if name_matches_groups(record.key[0], disposable_groups):
-            disposable_records.append(record)
-        else:
-            other_records.append(record)
-    return ChrSplit(
-        day=hit_rates.day,
-        disposable=EmpiricalCdf.from_samples(
-            hit_rates.chr_values(disposable_records)),
-        non_disposable=EmpiricalCdf.from_samples(
-            hit_rates.chr_values(other_records)))
-
-
 def chr_split_from_digest(digest: DayDigest,
                           disposable_groups: Set[Tuple[str, int]],
                           hit_rates: Optional[HitRateTable] = None
                           ) -> ChrSplit:
-    """:func:`chr_split` over a columnar digest.
+    """Split the day's CHR samples by (zone, depth) disposability.
 
-    The per-record zone-membership test becomes one memoised per-name
-    mask indexed by the RR identity table; the CDFs sort their samples,
-    so the result equals the legacy split.
+    Zone membership comes from one memoised per-name mask indexed by
+    the RR identity table.
     """
     if hit_rates is None:
         hit_rates = hit_rates_from_digest(digest)

@@ -11,17 +11,14 @@ two cohort members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Set, Tuple
 
 import numpy as np
 
 from repro.core.interning import DayDigest
 from repro.core.numeric import is_zero
-from repro.core.ranking import name_matches_groups
-from repro.pdns.records import FpDnsDataset
 
-__all__ = ["ClientSpreadReport", "clients_per_name",
-           "clients_per_name_from_digest"]
+__all__ = ["ClientSpreadReport", "clients_per_name_from_digest"]
 
 
 @dataclass
@@ -59,37 +56,14 @@ class ClientSpreadReport:
                      / self.disposable_counts.mean())
 
 
-def clients_per_name(dataset: FpDnsDataset,
-                     disposable_groups: Set[Tuple[str, int]]
-                     ) -> ClientSpreadReport:
-    """Count distinct querying clients per resolved name."""
-    clients_by_name: Dict[str, Set[int]] = {}
-    for entry in dataset.below:
-        if not entry.is_answer or entry.client_id is None:
-            continue
-        clients_by_name.setdefault(entry.qname, set()).add(entry.client_id)
-    disposable = []
-    other = []
-    for name, clients in clients_by_name.items():
-        if name_matches_groups(name, disposable_groups):
-            disposable.append(len(clients))
-        else:
-            other.append(len(clients))
-    return ClientSpreadReport(
-        day=dataset.day,
-        disposable_counts=np.array(sorted(disposable), dtype=int),
-        other_counts=np.array(sorted(other), dtype=int))
-
-
 def clients_per_name_from_digest(digest: DayDigest,
                                  disposable_groups: Set[Tuple[str, int]]
                                  ) -> ClientSpreadReport:
-    """:func:`clients_per_name` over a columnar digest.
+    """Count distinct querying clients per resolved name.
 
     Distinct (name, client) pairs come from one ``np.unique`` over the
     packed id columns and the disposable split from the memoised
-    per-name match mask; the reported count arrays are sorted either
-    way, so the result compares equal to the legacy report.
+    per-name match mask; both count arrays are sorted.
     """
     name_ids, counts = digest.client_counts_by_name()
     disposable_mask = digest.names.match_mask(disposable_groups)[name_ids]

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.volume import ZONE_GROUPS, _in_group
-from repro.core.ranking import name_matches_groups
+from repro.core.groups import name_matches_groups
 from repro.pdns.database import PassiveDnsDatabase, PdnsBackend
-from repro.pdns.records import FpDnsDataset, RRKey
+from repro.core.records import FpDnsDataset, RRKey
 
 __all__ = ["NewRrDay", "DedupReport", "run_dedup_window"]
 

@@ -10,24 +10,19 @@ optionally annotated with the miner's disposable shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.analysis.tail import LOW_VOLUME_THRESHOLD
-from repro.analysis.volume import (DayVolumeSummary, day_summary,
-                                   day_summary_from_digest)
-from repro.core.hitrate import (HitRateTable, compute_hit_rates,
-                                hit_rates_from_digest)
+from repro.analysis.volume import DayVolumeSummary, day_summary_from_digest
+from repro.core.hitrate import HitRateTable, hit_rates_from_digest
 from repro.core.interning import DayDigest
-from repro.core.ranking import name_matches_groups
 from repro.core.suffix import SuffixList, default_suffix_list
-from repro.pdns.records import FpDnsDataset
 from repro.textutil import format_kv, format_percent, format_table
 
-__all__ = ["DailyTrafficReport", "build_daily_report",
-           "build_daily_report_from_digest"]
+__all__ = ["DailyTrafficReport", "build_daily_report_from_digest"]
 
 
 @dataclass
@@ -81,74 +76,14 @@ class DailyTrafficReport:
         return header + "\n\n" + zones
 
 
-def build_daily_report(dataset: FpDnsDataset,
-                       hit_rates: Optional[HitRateTable] = None,
-                       disposable_groups: Optional[Set[Tuple[str, int]]] = None,
-                       suffix_list: Optional[SuffixList] = None,
-                       top_n: int = 10) -> DailyTrafficReport:
-    """Compute the full report for one fpDNS day."""
-    if hit_rates is None:
-        hit_rates = compute_hit_rates(dataset)
-    suffixes = suffix_list or default_suffix_list()
-
-    lookup_counts = hit_rates.lookup_counts()
-    low_tail = (float(np.mean(lookup_counts < LOW_VOLUME_THRESHOLD))
-                if lookup_counts.size else 0.0)
-
-    # Top 2LDs by below-lookup volume.
-    per_2ld: Dict[str, int] = {}
-    for entry in dataset.below:
-        if not entry.is_answer:
-            continue
-        two_ld = suffixes.effective_2ld(entry.qname)
-        if two_ld is None:
-            continue
-        per_2ld[two_ld] = per_2ld.get(two_ld, 0) + 1
-    top_zones = sorted(per_2ld.items(), key=lambda kv: -kv[1])[:top_n]
-
-    queried = dataset.queried_domains()
-    resolved = dataset.resolved_domains()
-    rrs = dataset.distinct_rrs()
-
-    disposable_queried = disposable_resolved = disposable_rr = None
-    if disposable_groups is not None:
-        disposable_queried = (sum(
-            1 for name in queried
-            if name_matches_groups(name, disposable_groups))
-            / len(queried)) if queried else 0.0
-        disposable_resolved = (sum(
-            1 for name in resolved
-            if name_matches_groups(name, disposable_groups))
-            / len(resolved)) if resolved else 0.0
-        disposable_rr = (sum(
-            1 for (name, _, _) in rrs
-            if name_matches_groups(name, disposable_groups))
-            / len(rrs)) if rrs else 0.0
-
-    return DailyTrafficReport(
-        day=dataset.day,
-        volumes=day_summary(dataset),
-        queried_domains=len(queried),
-        resolved_domains=len(resolved),
-        distinct_rrs=len(rrs),
-        low_volume_tail_fraction=low_tail,
-        zero_dhr_fraction=hit_rates.zero_dhr_fraction(),
-        chr_median=hit_rates.chr_median(),
-        top_zones=top_zones,
-        disposable_queried_fraction=disposable_queried,
-        disposable_resolved_fraction=disposable_resolved,
-        disposable_rr_fraction=disposable_rr)
-
-
 def _top_zones_from_digest(digest: DayDigest, suffixes: SuffixList,
                            top_n: int) -> List[Tuple[str, int]]:
-    """Top effective-2LDs by below answer volume, digest-side.
+    """Top effective-2LDs by below answer volume.
 
-    Replicates the legacy dict accumulation exactly, including the
-    tie-break: ``sorted`` is stable, so equal-volume zones keep their
-    first-seen order among the below answer entries.  The first-seen
-    order is recovered with ``np.unique(return_index=True)`` over the
-    per-entry zone ids.
+    Ties keep first-seen order: ``sorted`` is stable, so equal-volume
+    zones stay in the order they first appear among the below answer
+    entries.  That order is recovered with
+    ``np.unique(return_index=True)`` over the per-entry zone ids.
     """
     e2ld_ids, zones = digest.names.effective_2ld_ids(suffixes)
     below = digest.below
@@ -170,11 +105,10 @@ def build_daily_report_from_digest(
         disposable_groups: Optional[Set[Tuple[str, int]]] = None,
         suffix_list: Optional[SuffixList] = None,
         top_n: int = 10) -> DailyTrafficReport:
-    """:func:`build_daily_report` over a columnar digest.
+    """Compute the full report for one fpDNS day.
 
     All population counts, the top-zone table and the disposable
-    shares come from numpy reductions over the digest columns; output
-    is equal to the legacy report on the same day.
+    shares come from numpy reductions over the digest columns.
     """
     if hit_rates is None:
         hit_rates = hit_rates_from_digest(digest)

@@ -23,8 +23,8 @@ import numpy as np
 from repro.analysis.cdf import EmpiricalCdf
 from repro.core.hitrate import HitRateTable, RRHitRate
 from repro.core.numeric import is_zero
-from repro.core.ranking import name_matches_groups
-from repro.pdns.records import RRKey
+from repro.core.groups import name_matches_groups
+from repro.core.records import RRKey
 
 __all__ = ["LOW_VOLUME_THRESHOLD", "TailRow", "lookup_volume_distribution",
            "dhr_cdf", "lookup_volume_tail_row", "zero_dhr_tail_row"]

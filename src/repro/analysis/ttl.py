@@ -15,8 +15,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.ranking import name_matches_groups
-from repro.pdns.records import FpDnsDataset
+from repro.core.groups import name_matches_groups
+from repro.core.records import FpDnsDataset
 
 __all__ = ["TTL_CLAMP", "TtlHistogram", "disposable_ttl_histogram"]
 

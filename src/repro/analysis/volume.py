@@ -8,18 +8,16 @@ order-of-magnitude above/below gap, NXDOMAIN shares on each side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.interning import DayDigest, StreamColumns
 from repro.core.names import is_subdomain
 from repro.dns.message import RCode
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
 
 __all__ = ["ZONE_GROUPS", "VolumeSeries", "DayVolumeSummary",
-           "hourly_volumes", "day_summary", "multi_day_series",
            "hourly_volumes_from_digest", "day_summary_from_digest"]
 
 # The paper's two reference zone groups (its footnote 1).
@@ -53,44 +51,14 @@ class VolumeSeries:
         return int(np.argmin(self.total))
 
 
-def hourly_volumes(dataset: FpDnsDataset, side: str = "below",
-                   n_bins: int = 24,
-                   day_seconds: float = 86_400.0) -> VolumeSeries:
-    """Bin one stream of an fpDNS day into ``n_bins`` volume counts."""
-    if side == "below":
-        entries: List[FpDnsEntry] = dataset.below
-    elif side == "above":
-        entries = dataset.above
-    else:
-        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-
-    # Single pass over the entries: pull the three relevant columns
-    # out, then bin with vectorised numpy ops (the old min() pre-pass
-    # plus per-entry bucketing loop walked the list twice).
-    timestamps = np.empty(len(entries), dtype=np.float64)
-    is_nx = np.empty(len(entries), dtype=bool)
-    in_google = np.empty(len(entries), dtype=bool)
-    in_akamai = np.empty(len(entries), dtype=bool)
-    for position, entry in enumerate(entries):
-        timestamps[position] = entry.timestamp
-        is_nx[position] = entry.rcode is RCode.NXDOMAIN
-        in_google[position] = _in_group(entry.qname, ZONE_GROUPS["google"])
-        in_akamai[position] = (not in_google[position]
-                               and _in_group(entry.qname,
-                                             ZONE_GROUPS["akamai"]))
-    return _bin_volumes(dataset.day, side, n_bins, day_seconds,
-                        timestamps, is_nx, in_google, in_akamai)
-
-
 def _bin_volumes(day: str, side: str, n_bins: int, day_seconds: float,
                  timestamps: np.ndarray, is_nx: np.ndarray,
                  in_google: np.ndarray,
                  in_akamai: np.ndarray) -> VolumeSeries:
-    """Vectorised binning shared by the entry and digest paths.
+    """Vectorised binning of one stream's columns.
 
-    Replicates the scalar arithmetic exactly: bin index is
-    ``min(int((ts - min_ts) / width), n_bins - 1)``, evaluated in
-    float64 either way.
+    The bin index is ``min(int((ts - min_ts) / width), n_bins - 1)``,
+    evaluated in float64.
     """
     total = np.zeros(n_bins, dtype=int)
     nxdomain = np.zeros(n_bins, dtype=int)
@@ -111,8 +79,8 @@ def _bin_volumes(day: str, side: str, n_bins: int, day_seconds: float,
 
 def _stream_group_masks(digest: DayDigest, stream: StreamColumns
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """(google, akamai) per-entry masks from memoised per-name masks,
-    with the legacy elif precedence (google wins on overlap)."""
+    """(google, akamai) per-entry masks from memoised per-name masks;
+    google wins where the groups overlap."""
     google_names = digest.names.subdomain_mask(ZONE_GROUPS["google"])
     akamai_names = digest.names.subdomain_mask(ZONE_GROUPS["akamai"])
     in_google = google_names[stream.name_ids]
@@ -124,9 +92,10 @@ def hourly_volumes_from_digest(digest: DayDigest, side: str = "below",
                                n_bins: int = 24,
                                day_seconds: float = 86_400.0
                                ) -> VolumeSeries:
-    """:func:`hourly_volumes` over a columnar digest — per-name zone
-    membership is computed once per distinct name, and the binning is
-    pure numpy over the digest columns."""
+    """Bin one stream of an fpDNS day into ``n_bins`` volume counts.
+
+    Per-name zone membership is computed once per distinct name, and
+    the binning is pure numpy over the digest columns."""
     if side == "below":
         stream = digest.below
     elif side == "above":
@@ -172,27 +141,11 @@ class DayVolumeSummary:
                 if self.below_total else 0.0)
 
 
-def day_summary(dataset: FpDnsDataset) -> DayVolumeSummary:
-    below_google = sum(1 for e in dataset.below
-                       if _in_group(e.qname, ZONE_GROUPS["google"]))
-    below_akamai = sum(1 for e in dataset.below
-                       if _in_group(e.qname, ZONE_GROUPS["akamai"]))
-    return DayVolumeSummary(
-        day=dataset.day,
-        below_total=dataset.below_volume(),
-        above_total=dataset.above_volume(),
-        below_nxdomain=dataset.nxdomain_volume_below(),
-        above_nxdomain=dataset.nxdomain_volume_above(),
-        below_google=below_google,
-        below_akamai=below_akamai)
-
-
 def day_summary_from_digest(digest: DayDigest) -> DayVolumeSummary:
-    """:func:`day_summary` over a columnar digest.
+    """Day-level volume, NXDOMAIN and zone-group totals.
 
     Unlike the hourly series, the summary counts google and akamai
-    membership independently (no precedence), matching the legacy
-    two-``sum`` form.
+    membership independently (no precedence).
     """
     google_names = digest.names.subdomain_mask(ZONE_GROUPS["google"])
     akamai_names = digest.names.subdomain_mask(ZONE_GROUPS["akamai"])
@@ -206,9 +159,3 @@ def day_summary_from_digest(digest: DayDigest) -> DayVolumeSummary:
         above_nxdomain=int(np.count_nonzero(digest.above.rcodes == nx_value)),
         below_google=int(np.count_nonzero(google_names[below.name_ids])),
         below_akamai=int(np.count_nonzero(akamai_names[below.name_ids])))
-
-
-def multi_day_series(datasets: Iterable[FpDnsDataset]
-                     ) -> List[DayVolumeSummary]:
-    """Day summaries across a multi-day window (Figure 2's six days)."""
-    return [day_summary(dataset) for dataset in datasets]

@@ -4,8 +4,8 @@ from repro.core.crossnetwork import (CrossNetworkReport, ZoneConsensus,
                                      compare_networks)
 from repro.core.dnstypes import RCode, RRType
 from repro.core.features import FEATURE_NAMES, FeatureExtractor, GroupFeatures
-from repro.core.hitrate import (HitRateTable, RRHitRate, compute_hit_rates,
-                                hit_rates_from_digest)
+from repro.core.groups import name_matches_groups
+from repro.core.hitrate import HitRateTable, RRHitRate, hit_rates_from_digest
 from repro.core.interning import (DayDigest, NameTable, StreamColumns,
                                   build_day_digest)
 from repro.core.labeling import LabeledZone, TrainingSet, build_training_set
@@ -18,8 +18,7 @@ from repro.core.profile import (GroupProfile, ZoneProfile, ZoneProfiler,
 from repro.core.streaming import (StreamingDayBuilder, StreamStats,
                                   mine_stream)
 from repro.core.ranking import (DailyMiningResult, DisposableZoneRanker,
-                                build_tree_for_day, build_tree_from_digest,
-                                name_matches_groups)
+                                build_tree_from_digest)
 from repro.core.records import FpDnsDataset, FpDnsEntry, RpDnsEntry, RRKey
 from repro.core.suffix import SuffixList, default_suffix_list
 from repro.core.tracking import TrackedZone, ZoneTracker
@@ -30,8 +29,7 @@ __all__ = [
     "RCode", "RRType",
     "FEATURE_NAMES", "FeatureExtractor", "GroupFeatures",
     "FpDnsDataset", "FpDnsEntry", "RpDnsEntry", "RRKey",
-    "HitRateTable", "RRHitRate", "compute_hit_rates",
-    "hit_rates_from_digest",
+    "HitRateTable", "RRHitRate", "hit_rates_from_digest",
     "DayDigest", "NameTable", "StreamColumns", "build_day_digest",
     "LabeledZone", "TrainingSet", "build_training_set",
     "DisposableZoneFinding", "DisposableZoneMiner", "MinerConfig",
@@ -39,8 +37,8 @@ __all__ = [
     "approx_eq", "is_zero",
     "GroupProfile", "ZoneProfile", "ZoneProfiler", "lad_tree_attribution",
     "StreamingDayBuilder", "StreamStats", "mine_stream",
-    "DailyMiningResult", "DisposableZoneRanker", "build_tree_for_day",
-    "build_tree_from_digest", "name_matches_groups",
+    "DailyMiningResult", "DisposableZoneRanker", "build_tree_from_digest",
+    "name_matches_groups",
     "SuffixList", "default_suffix_list",
     "TrackedZone", "ZoneTracker",
     "DomainNameTree", "TreeNode",

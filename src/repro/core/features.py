@@ -109,7 +109,7 @@ class FeatureExtractor:
     def from_digest(cls, digest: "DayDigest") -> "FeatureExtractor":
         """Extractor over a columnar day digest: tree and hit-rate
         table are both derived from the digest columns (no entry
-        re-scan), producing the same features as the legacy path."""
+        re-scan)."""
         return cls(DomainNameTree(digest.resolved_names_ordered()),
                    hit_rates_from_digest(digest))
 

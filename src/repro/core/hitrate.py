@@ -26,13 +26,12 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
 
 import numpy as np
 
-from repro.core.records import FpDnsDataset, RRKey, rr_sort_key
+from repro.core.records import RRKey
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.interning import DayDigest
 
-__all__ = ["RRHitRate", "HitRateTable", "compute_hit_rates",
-           "hit_rates_from_digest"]
+__all__ = ["RRHitRate", "HitRateTable", "hit_rates_from_digest"]
 
 
 @dataclass(frozen=True)
@@ -151,32 +150,16 @@ class HitRateTable:
         return np.array([rate.queries_below for rate in source], dtype=int)
 
 
-def compute_hit_rates(dataset: FpDnsDataset) -> HitRateTable:
+def hit_rates_from_digest(digest: "DayDigest") -> HitRateTable:
     """Build the per-RR hit-rate table for one fpDNS day.
 
-    A record observed above but never below (e.g. prefetched and never
-    re-asked within the day boundary) still appears, with zero queries
-    below; its DHR is 0 by convention.
-    """
-    below = dataset.below_counts_by_rr()
-    above = dataset.above_counts_by_rr()
-    rates: Dict[RRKey, RRHitRate] = {}
-    for key in sorted(set(below) | set(above), key=rr_sort_key):
-        rates[key] = RRHitRate(key=key,
-                               queries_below=below.get(key, 0),
-                               misses_above=above.get(key, 0))
-    return HitRateTable(rates, day=dataset.day)
-
-
-def hit_rates_from_digest(digest: "DayDigest") -> HitRateTable:
-    """Digest-based :func:`compute_hit_rates` — no entry re-scan.
-
     Every RR interned by the digest was carried by at least one answer
-    entry in one of the streams, so the RR id range *is* the legacy
-    ``set(below) | set(above)`` key set; the per-RR counts come from
-    two ``bincount`` reductions instead of two entry-list walks.  The
-    resulting table compares equal to the legacy one (same keys, same
-    integer counts), with a deterministic RR-id iteration order.
+    entry in one of the streams, so the RR id range is the day's key
+    set: a record observed above but never below (e.g. prefetched and
+    never re-asked within the day boundary) still appears, with zero
+    queries below, and its DHR is 0 by convention.  The per-RR counts
+    come from two ``bincount`` reductions over the digest columns, and
+    the table iterates in deterministic RR-id order.
     """
     below_counts = digest.below_rr_counts().tolist()
     above_counts = digest.above_rr_counts().tolist()

@@ -1,11 +1,11 @@
 """Interned name table and columnar day digest.
 
 The mining system and the Section III/VI analyses all consume the same
-fpDNS day, but the legacy code paths each re-scan the raw entry lists
-independently: hit rates, tree construction, the traffic report, the
-volume/clients/CHR analyses and pDNS ingest together walk the
-(hundreds of thousands of) entries ten-plus times per day, paying the
-per-entry Python dispatch cost every time.
+fpDNS day.  Re-scanning the raw entry lists for each of them (hit
+rates, tree construction, the traffic report, the volume/clients/CHR
+analyses and pDNS ingest) would walk the (hundreds of thousands of)
+entries ten-plus times per day, paying the per-entry Python dispatch
+cost every time.
 
 This module makes the day **columnar**: one single pass over the raw
 streams produces
@@ -22,9 +22,10 @@ Every downstream consumer (:func:`repro.core.hitrate.hit_rates_from_digest`,
 :func:`repro.core.ranking.build_tree_from_digest`, the
 ``repro.analysis`` modules, ``PassiveDnsDatabase.ingest_digest``)
 reduces over these columns with numpy instead of re-iterating entries.
-The legacy per-entry paths remain in place as the oracle; the digest
-path is provably equivalent (``tests/core/test_interning.py``,
-``tests/core/test_ranking.py``).
+The per-entry reference implementations live in ``tests/oracles``, and
+the equality tests (``tests/core/test_interning.py``,
+``tests/core/test_ranking.py``, ``tests/analysis/test_digest_equality.py``)
+hold every digest function to its oracle.
 
 Determinism: ids are assigned in first-appearance order over
 ``below`` then ``above`` — a pure function of the data, identical in
@@ -68,7 +69,7 @@ class NameTable:
 
     Names are stored verbatim (the fpDNS streams already carry
     canonical names; hand-built datasets are hashed as-is so the
-    digest mirrors the legacy per-entry code exactly).  Derived
+    digest mirrors the per-entry dataset aggregates exactly).  Derived
     per-name columns are computed once per table and memoised — the
     point being that a day has a few thousand distinct names but
     hundreds of thousands of entries.
@@ -386,7 +387,7 @@ class DayDigest:
 
         Mirrors ``FpDnsDataset.ttls_by_rr`` exactly: the max TTL seen
         above the resolvers, else the *first* TTL-bearing observation
-        below (the legacy dict fills on first sight below).
+        below (the dataset's dict fills on first sight below).
         """
         if self._rr_ttls is None:
             above_ttl = np.full(self.n_rrs, -1, dtype=np.int64)

@@ -10,40 +10,29 @@ behind Figures 11 and 13.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.core.classifier.base import BinaryClassifier
 from repro.core.features import FeatureExtractor
-from repro.core.groups import name_matches_groups
-from repro.core.hitrate import (HitRateTable, compute_hit_rates,
-                                hit_rates_from_digest)
+from repro.core.hitrate import HitRateTable, hit_rates_from_digest
 from repro.core.interning import DayDigest
 from repro.core.miner import (DisposableZoneFinding, DisposableZoneMiner,
                               MinerConfig)
-from repro.core.names import label_count, parent
 from repro.core.suffix import SuffixList, default_suffix_list
 from repro.core.tree import DomainNameTree
-from repro.core.records import FpDnsDataset
 
-__all__ = ["DailyMiningResult", "DisposableZoneRanker", "build_tree_for_day",
+__all__ = ["DailyMiningResult", "DisposableZoneRanker",
            "build_tree_from_digest"]
 
 
-def build_tree_for_day(dataset: FpDnsDataset) -> DomainNameTree:
-    """Stage 1 (Domain Name Tree Builder): black nodes are the names
-    that carried at least one RR below the resolvers that day."""
-    tree = DomainNameTree()
-    for name in dataset.resolved_domains():
-        tree.add_domain(name)
-    return tree
-
-
 def build_tree_from_digest(digest: DayDigest) -> DomainNameTree:
-    """Stage 1 over a columnar digest: the same black-node set, but
-    inserted in deterministic name-id order (first-appearance order in
-    the data) rather than ``set`` iteration order — so the resulting
-    mining run is bit-identical across processes."""
+    """Stage 1 (Domain Name Tree Builder): black nodes are the names
+    that carried at least one RR below the resolvers that day.
+
+    They are inserted in deterministic name-id order (first-appearance
+    order in the data) rather than ``set`` iteration order, so the
+    resulting mining run is bit-identical across processes."""
     tree = DomainNameTree()
     for name in digest.resolved_names_ordered():
         tree.add_domain(name)
@@ -98,9 +87,6 @@ class DailyMiningResult:
                       key=lambda f: (-f.confidence, -f.group_size, f.zone))
 
 
-
-
-
 class DisposableZoneRanker:
     """End-to-end daily pipeline runner."""
 
@@ -111,47 +97,16 @@ class DisposableZoneRanker:
         self.config = config or MinerConfig()
         self.suffix_list = suffix_list or default_suffix_list()
 
-    def run_day(self, dataset: FpDnsDataset,
-                hit_rates: Optional[HitRateTable] = None) -> DailyMiningResult:
-        """Run tree building, mining and ranking for one fpDNS day."""
-        if hit_rates is None:
-            hit_rates = compute_hit_rates(dataset)
-        tree = build_tree_for_day(dataset)
-        extractor = FeatureExtractor(tree, hit_rates)
-        miner = DisposableZoneMiner(self.classifier, self.config,
-                                    self.suffix_list)
-        findings = miner.mine(tree, extractor)
-        groups = DisposableZoneMiner.findings_as_groups(findings)
-
-        queried = dataset.queried_domains()
-        resolved = dataset.resolved_domains()
-        rrs = dataset.distinct_rrs()
-        disposable_queried = sum(
-            1 for name in queried if name_matches_groups(name, groups))
-        disposable_resolved = sum(
-            1 for name in resolved if name_matches_groups(name, groups))
-        disposable_rrs = sum(
-            1 for (name, _, _) in rrs if name_matches_groups(name, groups))
-
-        return DailyMiningResult(
-            day=dataset.day, findings=findings,
-            queried_domains=len(queried), resolved_domains=len(resolved),
-            distinct_rrs=len(rrs), disposable_queried=disposable_queried,
-            disposable_resolved=disposable_resolved,
-            disposable_rrs=disposable_rrs)
-
     def run_digest(self, digest: DayDigest,
                    hit_rates: Optional[HitRateTable] = None
                    ) -> DailyMiningResult:
-        """Columnar counterpart of :meth:`run_day`.
+        """Run tree building, mining and ranking for one fpDNS day.
 
         Consumes a prebuilt :class:`~repro.core.interning.DayDigest`:
         tree and hit-rate table come from the digest columns, and the
-        day-coverage statistics from one memoised per-name match mask
-        instead of three full ``name_matches_groups`` sweeps.  Output
-        is equivalent to :meth:`run_day` on the same day (identical
-        finding set, confidences and counts); the findings order is
-        the digest's deterministic traversal order.
+        day-coverage statistics from one memoised per-name match mask.
+        The findings come in the digest's deterministic traversal
+        order.
         """
         if hit_rates is None:
             hit_rates = hit_rates_from_digest(digest)

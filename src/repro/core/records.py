@@ -13,9 +13,9 @@ The study uses two datasets:
 
 These containers are the mining system's input data model, so they live
 in ``repro.core`` at the bottom of the layering DAG; the collection
-machinery that *produces* them stays in :mod:`repro.pdns`, which
-re-exports these names from :mod:`repro.pdns.records` for
-compatibility.
+machinery that *produces* them stays in :mod:`repro.pdns`.  Every
+per-day computation reads a dataset through its columnar
+:class:`~repro.core.interning.DayDigest`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Single-pass streaming construction of the daily mining inputs.
 
-The batch pipeline (:func:`repro.core.ranking.build_tree_for_day` +
-:func:`repro.core.hitrate.compute_hit_rates`) materialises a whole
-fpDNS day in memory.  A deployed collector at an ISP tap cannot — the
+The batch pipeline (:func:`repro.core.interning.build_day_digest`,
+then :func:`repro.core.ranking.build_tree_from_digest` +
+:func:`repro.core.hitrate.hit_rates_from_digest`) holds a whole fpDNS
+day in memory.  A deployed collector at an ISP tap cannot — the
 authors' days ran 60-145 GB compressed — so this module builds the
 identical artifacts incrementally from a stream of ``(side, entry)``
 pairs (e.g. :func:`repro.pdns.io.iter_fpdns_entries`), holding only

@@ -26,9 +26,10 @@ from repro.core.classifier import (BinaryClassifier, DecisionTreeClassifier,
                                    NeuralNetworkClassifier,
                                    cross_validate, evaluate_classifiers)
 from repro.core.miner import MinerConfig
-from repro.core.ranking import DisposableZoneRanker, name_matches_groups
+from repro.core.groups import name_matches_groups
+from repro.core.ranking import DisposableZoneRanker
 from repro.experiments.context import TRAINING_DATE, ExperimentContext
-from repro.experiments.report import format_percent, format_table
+from repro.textutil import format_percent, format_table
 
 __all__ = ["ClassifierComparisonResult", "run_classifier_comparison",
            "FeatureAblationResult", "run_feature_ablation",

@@ -256,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         context = get_context(_PROFILES[args.profile])
         date = PAPER_DATES[-1]
         scorecard = validate_calibration(context.simulator,
-                                         context.dataset(date),
+                                         context.digest(date),
                                          context.hit_rates(date))
         print(scorecard.render())
         return 0 if scorecard.all_passed else 1

@@ -31,7 +31,7 @@ from repro.core.miner import MinerConfig
 from repro.core.ranking import (DailyMiningResult, DisposableZoneRanker,
                                 build_tree_from_digest)
 from repro.pdns.database import PassiveDnsDatabase, PdnsBackend
-from repro.pdns.records import FpDnsDataset
+from repro.core.records import FpDnsDataset
 from repro.traffic.artifacts import FpDnsArtifactCache, artifact_key
 from repro.traffic.population import PopulationConfig
 from repro.traffic.simulate import (PAPER_DATES, RPDNS_WINDOW_DATES,

@@ -16,20 +16,21 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.chrdist import ChrSplit, chr_cdf, chr_split
+from repro.analysis.chrdist import ChrSplit, chr_cdf
 from repro.analysis.dedup import DedupReport, run_dedup_window
 from repro.analysis.growth import GrowthSeries, growth_series
 from repro.analysis.tail import (LOW_VOLUME_THRESHOLD, dhr_cdf,
                                  lookup_volume_distribution)
 from repro.analysis.ttl import TtlHistogram, disposable_ttl_histogram
 from repro.analysis.volume import (DayVolumeSummary, VolumeSeries,
-                                   day_summary, hourly_volumes)
+                                   day_summary_from_digest,
+                                   hourly_volumes_from_digest)
 from repro.analysis.cdf import EmpiricalCdf
 from repro.core.classifier import (LadTreeClassifier, RocCurve,
                                    cross_validate)
 from repro.experiments.context import ExperimentContext
-from repro.experiments.report import (format_kv, format_percent,
-                                      format_series, format_table)
+from repro.textutil import (format_kv, format_percent, format_series,
+                            format_table)
 from repro.traffic.simulate import PAPER_DATES, RPDNS_WINDOW_DATES
 
 __all__ = [
@@ -101,14 +102,16 @@ class Fig02Result:
 def run_fig02_traffic_volume(ctx: ExperimentContext,
                              n_days: int = 6) -> Fig02Result:
     dates = RPDNS_WINDOW_DATES[3:3 + n_days]  # 12/01 .. 12/06
-    datasets = ctx.datasets(dates)
+    digests = [ctx.digest(date) for date in dates]
     day_seconds = ctx.simulator.config.workload.day_seconds
     return Fig02Result(
-        summaries=[day_summary(d) for d in datasets],
-        below_series=[hourly_volumes(d, "below", day_seconds=day_seconds)
-                      for d in datasets],
-        above_series=[hourly_volumes(d, "above", day_seconds=day_seconds)
-                      for d in datasets])
+        summaries=[day_summary_from_digest(d) for d in digests],
+        below_series=[hourly_volumes_from_digest(d, "below",
+                                                 day_seconds=day_seconds)
+                      for d in digests],
+        above_series=[hourly_volumes_from_digest(d, "above",
+                                                 day_seconds=day_seconds)
+                      for d in digests])
 
 
 # ---------------------------------------------------------------- Figure 3

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
 from repro.experiments.context import ExperimentContext
-from repro.experiments.report import format_kv, format_percent, format_table
+from repro.textutil import format_kv, format_percent, format_table
 from repro.impact.cache_pressure import (CachePressureComparison,
                                          run_cache_pressure_study)
 from repro.impact.dnssec_cost import DnssecStudyResult, run_dnssec_study

@@ -24,7 +24,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.pdns.records import FpDnsDataset
+from repro.core.records import FpDnsDataset
 from repro.textutil import format_table
 from repro.traffic.simulate import (MeasurementDate, SimulatorConfig,
                                     TraceSimulator)

@@ -10,9 +10,9 @@ import numpy as np
 from repro.analysis.tail import (TailRow, lookup_volume_tail_row,
                                  zero_dhr_tail_row)
 from repro.core.classifier import LadTreeClassifier, cross_validate
-from repro.core.ranking import name_matches_groups
+from repro.core.groups import name_matches_groups
 from repro.experiments.context import ExperimentContext
-from repro.experiments.report import format_kv, format_percent, format_table
+from repro.textutil import format_kv, format_percent, format_table
 from repro.traffic.simulate import PAPER_DATES
 
 __all__ = ["TableResult", "run_table1_lookup_tail", "run_table2_dhr_tail",

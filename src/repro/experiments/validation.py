@@ -17,10 +17,9 @@ import numpy as np
 
 from repro.analysis.chrdist import chr_cdf_for_zones
 from repro.analysis.tail import LOW_VOLUME_THRESHOLD
-from repro.analysis.volume import day_summary
-from repro.core.hitrate import HitRateTable, compute_hit_rates
-from repro.core.ranking import name_matches_groups
-from repro.pdns.records import FpDnsDataset
+from repro.analysis.volume import day_summary_from_digest
+from repro.core.hitrate import HitRateTable, hit_rates_from_digest
+from repro.core.interning import DayDigest
 from repro.textutil import format_table
 from repro.traffic.simulate import TraceSimulator
 
@@ -60,14 +59,14 @@ class CalibrationScorecard:
 
 
 def validate_calibration(simulator: TraceSimulator,
-                         dataset: FpDnsDataset,
+                         digest: DayDigest,
                          hit_rates: Optional[HitRateTable] = None
                          ) -> CalibrationScorecard:
     """Check the DESIGN.md §5 invariants on one simulated day."""
     if hit_rates is None:
-        hit_rates = compute_hit_rates(dataset)
+        hit_rates = hit_rates_from_digest(digest)
     truth = simulator.disposable_truth()
-    volumes = day_summary(dataset)
+    volumes = day_summary_from_digest(digest)
     checks: List[CalibrationCheck] = []
 
     def check(name: str, measured: float, passed: bool,
@@ -122,21 +121,19 @@ def validate_calibration(simulator: TraceSimulator,
           popular_median > disposable_zero - 1.0
           and popular_median > 0.1, "> 0.1 and >> disposable")
 
+    _, resolved_hits, rr_hits = digest.match_counts(truth)
+
     # 9. Disposable share of resolved names in the paper's band.
-    resolved = dataset.resolved_domains()
-    disposable_share = (sum(1 for name in resolved
-                            if name_matches_groups(name, truth))
-                        / len(resolved)) if resolved else 0.0
+    n_resolved = int(digest.resolved_name_ids().shape[0])
+    disposable_share = resolved_hits / n_resolved if n_resolved else 0.0
     check("disposable share of resolved names", disposable_share,
           0.1 < disposable_share < 0.6, "in (0.1, 0.6)")
 
     # 10. Disposable RR share exceeds disposable name share.
-    rrs = dataset.distinct_rrs()
-    rr_share = (sum(1 for (name, _, _) in rrs
-                    if name_matches_groups(name, truth))
-                / len(rrs)) if rrs else 0.0
+    n_rrs = digest.distinct_rr_count()
+    rr_share = rr_hits / n_rrs if n_rrs else 0.0
     check("disposable RR share > name share",
           rr_share - disposable_share, rr_share > disposable_share,
           "> 0")
 
-    return CalibrationScorecard(day=dataset.day, checks=checks)
+    return CalibrationScorecard(day=digest.day, checks=checks)

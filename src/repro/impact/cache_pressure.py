@@ -134,7 +134,7 @@ def cache_occupancy(cluster: RdnsCluster, now: float,
                     disposable_groups: Set[Tuple[str, int]]) -> OccupancyReport:
     """Snapshot live cache contents across a cluster and attribute
     them to disposable (zone, depth) groups."""
-    from repro.core.ranking import name_matches_groups
+    from repro.core.groups import name_matches_groups
 
     live = disposable = never_hit = disposable_never_hit = 0
     for server in cluster.servers:

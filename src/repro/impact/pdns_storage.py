@@ -15,8 +15,8 @@ from typing import Optional, Sequence, Set, Tuple
 
 from repro.analysis.dedup import DedupReport, run_dedup_window
 from repro.pdns.database import (ROW_BYTES, PassiveDnsDatabase,
-                                 PdnsBackend)
-from repro.pdns.records import FpDnsDataset
+                                 PdnsBackend, wildcard_aggregated_size)
+from repro.core.records import FpDnsDataset
 
 __all__ = ["PdnsStorageResult", "run_pdns_storage_study"]
 
@@ -90,7 +90,7 @@ def run_pdns_storage_study(datasets: Sequence[FpDnsDataset],
     measured = bool(getattr(backend, "storage_is_measured", False))
     dedup = run_dedup_window(datasets, disposable_groups, database=backend)
     rows_before = len(backend)
-    rows_after = backend.wildcard_aggregated_size(disposable_groups)
+    rows_after = wildcard_aggregated_size(backend, disposable_groups)
     return PdnsStorageResult(
         dedup=dedup,
         rows_before=rows_before,

@@ -5,7 +5,8 @@ from repro.pdns.collector import PassiveDnsCollector
 from repro.pdns.columnar import (ColumnarFpDnsDataset, load_fpdns2,
                                  save_fpdns2)
 from repro.pdns.database import (IngestReport, PassiveDnsDatabase,
-                                 PdnsBackend, wildcard_name)
+                                 PdnsBackend, wildcard_aggregated_size,
+                                 wildcard_name)
 from repro.pdns.io import (FormatError, iter_fpdns_entries, load_fpdns,
                            save_fpdns)
 from repro.pdns.query import IndexStats, PdnsQueryIndex
@@ -16,11 +17,12 @@ from repro.pdns.sizing import (DatabaseSizeReport, DatasetSizeReport,
                                entry_storage_bytes, estimate_dataset_size)
 from repro.pdns.store import (CompactionReport, SegmentedPdnsStore,
                               StoreStats)
-from repro.pdns.records import FpDnsDataset, FpDnsEntry, RpDnsEntry, RRKey
+from repro.core.records import FpDnsDataset, FpDnsEntry, RpDnsEntry, RRKey
 
 __all__ = [
     "PassiveDnsCollector",
-    "IngestReport", "PassiveDnsDatabase", "PdnsBackend", "wildcard_name",
+    "IngestReport", "PassiveDnsDatabase", "PdnsBackend",
+    "wildcard_aggregated_size", "wildcard_name",
     "FpDnsDataset", "FpDnsEntry", "RpDnsEntry", "RRKey",
     "FormatError", "iter_fpdns_entries", "load_fpdns", "save_fpdns",
     "ColumnarFpDnsDataset", "load_fpdns2", "save_fpdns2",

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.dns.message import RCode, Response
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 __all__ = ["PassiveDnsCollector", "entries_for_response"]
 

@@ -20,10 +20,10 @@ from repro.core.groups import matching_group_zone
 from repro.core.interning import DayDigest
 from repro.core.names import labels, parent
 from repro.dns.message import RRType
-from repro.pdns.records import FpDnsDataset, RpDnsEntry, RRKey
+from repro.core.records import FpDnsDataset, RpDnsEntry, RRKey
 
 __all__ = ["IngestReport", "PassiveDnsDatabase", "PdnsBackend",
-           "wildcard_name"]
+           "wildcard_aggregated_size", "wildcard_name"]
 
 # Rough per-row storage cost, matching the paper's seven-to-nine GB for
 # a few hundred million rows (~40-60 B of name + type + rdata + date).
@@ -62,9 +62,6 @@ class PdnsBackend(Protocol):
     def ingested_days(self) -> List[str]: ...
 
     def storage_bytes(self) -> int: ...
-
-    def wildcard_aggregated_size(
-            self, disposable_groups: Set[Tuple[str, int]]) -> int: ...
 
     def __len__(self) -> int: ...
 
@@ -203,51 +200,27 @@ class PassiveDnsDatabase:
     def storage_bytes(self) -> int:
         return len(self._first_seen) * ROW_BYTES
 
-    # -- Section VI-C mitigation ----------------------------------------
 
-    def wildcard_aggregated_size(
-            self, disposable_groups: Set[Tuple[str, int]]) -> int:
-        """Row count after collapsing disposable RRs onto wildcards.
+def wildcard_aggregated_size(backend: PdnsBackend,
+                             disposable_groups: Set[Tuple[str, int]]) -> int:
+    """Section VI-C mitigation: row count of ``backend`` after
+    collapsing disposable RRs onto wildcard rows.
 
-        ``disposable_groups`` is the miner's output: pairs
-        ``(zone, depth)`` meaning "names at ``depth`` labels under
-        ``zone`` are disposable".  Each matching record is replaced by
-        its wildcard row; distinct wildcard rows are counted once.
-        """
-        kept: Set[RRKey] = set()
-        wildcards: Set[str] = set()
-        for (name, rtype, rdata) in self._first_seen:
-            zone = self._matching_zone(name, disposable_groups)
-            if zone is not None:
-                # Anchor the wildcard at the flagged zone, so deep
-                # schemes (constant labels left of the random one, as
-                # in the McAfee names) still collapse to a single row.
-                wildcards.add("*." + zone)
-            else:
-                kept.add((name, rtype, rdata))
-        return len(kept) + len(wildcards)
-
-    def split_by_disposable(
-            self, disposable_groups: Set[Tuple[str, int]]
-    ) -> Tuple[List[RRKey], List[RRKey]]:
-        """Partition stored RRs into (disposable, non-disposable)."""
-        disposable: List[RRKey] = []
-        other: List[RRKey] = []
-        for key in self._first_seen:
-            if self._matches_disposable(key[0], disposable_groups):
-                disposable.append(key)
-            else:
-                other.append(key)
-        return disposable, other
-
-    @staticmethod
-    def _matching_zone(name: str,
-                       groups: Set[Tuple[str, int]]) -> Optional[str]:
-        """The flagged ancestor zone covering ``name``, or ``None``
-        (shared matcher; the segmented store uses the same one)."""
-        return matching_group_zone(name, groups)
-
-    @classmethod
-    def _matches_disposable(cls, name: str,
-                            groups: Set[Tuple[str, int]]) -> bool:
-        return cls._matching_zone(name, groups) is not None
+    ``disposable_groups`` is the miner's output: pairs ``(zone,
+    depth)`` meaning "names at ``depth`` labels under ``zone`` are
+    disposable".  Each matching record is replaced by its wildcard
+    row; distinct wildcard rows are counted once.  The stored keys are
+    streamed, so the segmented store never holds them all at once.
+    """
+    kept = 0
+    wildcards: Set[str] = set()
+    for name, _, _ in backend.iter_rr_keys():
+        zone = matching_group_zone(name, disposable_groups)
+        if zone is not None:
+            # Anchor the wildcard at the flagged zone, so deep schemes
+            # (constant labels left of the random one, as in the McAfee
+            # names) still collapse to a single row.
+            wildcards.add("*." + zone)
+        else:
+            kept += 1
+    return kept + len(wildcards)

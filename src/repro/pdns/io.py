@@ -29,7 +29,7 @@ from typing import IO, Iterator, Union
 
 from repro.core.container import FormatError
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 __all__ = ["save_fpdns", "load_fpdns", "iter_fpdns_entries", "FormatError"]
 

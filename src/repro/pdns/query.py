@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.pdns.database import PassiveDnsDatabase
-from repro.pdns.records import RpDnsEntry
+from repro.core.records import RpDnsEntry
 
 __all__ = ["IndexStats", "PdnsQueryIndex"]
 

@@ -19,7 +19,7 @@ from repro.core.groups import name_matches_groups
 from repro.dns.message import ResourceRecord, RRType
 from repro.dns.wire import encoded_name_size
 from repro.pdns.database import PdnsBackend
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 __all__ = ["ENTRY_METADATA_BYTES", "DatabaseSizeReport",
            "DatasetSizeReport", "database_storage_report",

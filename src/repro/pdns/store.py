@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.core.artifact_store import ArtifactStore
 from repro.core.container import FormatError
-from repro.core.groups import matching_group_zone
 from repro.core.interning import DayDigest
 from repro.core.records import FpDnsDataset, RpDnsEntry, RRKey
 from repro.pdns.database import IngestReport
@@ -424,36 +423,6 @@ class SegmentedPdnsStore:
     def storage_bytes(self) -> int:
         """Actual on-disk segment bytes (measured, not modeled)."""
         return self._artifacts.total_bytes()
-
-    # -- Section VI-C mitigation ---------------------------------------
-
-    def wildcard_aggregated_size(
-            self, disposable_groups: Set[Tuple[str, int]]) -> int:
-        """Row count after collapsing disposable RRs onto wildcard
-        rows (same contract as the in-memory database), streamed
-        segment by segment."""
-        kept = 0
-        wildcards: Set[str] = set()
-        for (name, _, _), _ in self.iter_rr_items():
-            zone = matching_group_zone(name, disposable_groups)
-            if zone is not None:
-                wildcards.add("*." + zone)
-            else:
-                kept += 1
-        return kept + len(wildcards)
-
-    def split_by_disposable(
-            self, disposable_groups: Set[Tuple[str, int]]
-    ) -> Tuple[List[RRKey], List[RRKey]]:
-        """Partition stored RRs into (disposable, non-disposable)."""
-        disposable: List[RRKey] = []
-        other: List[RRKey] = []
-        for key in self.iter_rr_keys():
-            if matching_group_zone(key[0], disposable_groups) is not None:
-                disposable.append(key)
-            else:
-                other.append(key)
-        return disposable, other
 
     # -- maintenance: compact / prune / stats --------------------------
 

@@ -203,7 +203,8 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
             # parse that body as the next request.
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":      # a HEAD answer carries no body
+            self.wfile.write(body)
 
     def _send_json(self, status: int, payload: object, *,
                    close: bool = False) -> None:
@@ -213,6 +214,16 @@ class _ClassifyHandler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, message: str, *,
                          close: bool = False) -> None:
         self._send_json(status, {"error": message}, close=close)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Errors ``http.server`` answers itself (unsupported method,
+        malformed or oversized request line, bad headers) get the
+        API's JSON body and count in ``/metrics`` like any other; the
+        connection closes, as the stdlib's error path does."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self._send_error_json(code, message, close=True)
 
     # -- GET ------------------------------------------------------------
 

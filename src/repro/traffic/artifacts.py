@@ -45,7 +45,7 @@ from repro.core.artifact_store import ArtifactStore
 from repro.core.interning import DayDigest
 from repro.core.keys import versioned_key
 from repro.pdns.columnar import dumps_fpdns2, loads_fpdns2
-from repro.pdns.records import FpDnsDataset
+from repro.core.records import FpDnsDataset
 from repro.traffic.simulate import MeasurementDate, SimulatorConfig
 
 __all__ = ["ARTIFACT_FORMAT", "COLUMNAR_SUFFIX", "artifact_key",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.labeling import LabeledZone
 from repro.dns.resolver import RdnsCluster
 from repro.pdns.collector import PassiveDnsCollector
-from repro.pdns.records import FpDnsDataset
+from repro.core.records import FpDnsDataset
 from repro.traffic.diurnal import SECONDS_PER_DAY
 from repro.traffic.population import PopulationConfig, ZonePopulation
 from repro.traffic.workload import WorkloadConfig, WorkloadModel

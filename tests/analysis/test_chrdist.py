@@ -2,24 +2,35 @@
 
 import pytest
 
-from repro.analysis.chrdist import chr_cdf, chr_cdf_for_zones, chr_split
-from repro.core.hitrate import HitRateTable, RRHitRate
-from repro.dns.message import RRType
+from repro.analysis.chrdist import (chr_cdf, chr_cdf_for_zones,
+                                    chr_split_from_digest)
+from repro.core.hitrate import hit_rates_from_digest
+from repro.core.interning import build_day_digest
+from repro.core.records import FpDnsDataset, FpDnsEntry
+from repro.dns.message import RCode, RRType
 
 
-def make_table(spec, day="t"):
-    rates = {}
-    for name, (below, above) in spec.items():
-        key = (name, RRType.A, "1.1.1.1")
-        rates[key] = RRHitRate(key, below, above)
-    return HitRateTable(rates, day=day)
+def make_day(spec):
+    """A day whose per-RR (below, above) answer counts follow ``spec``."""
+    dataset = FpDnsDataset(day="t")
+    for name, counts in spec.items():
+        for stream, count in zip((dataset.below, dataset.above), counts):
+            stream.extend(FpDnsEntry(float(i), 1, name, RRType.A,
+                                     RCode.NOERROR, 300, "1.1.1.1")
+                          for i in range(count))
+    return dataset
 
 
 @pytest.fixture
-def table():
+def digest():
     spec = {"www.bank.com": (100, 2), "mail.bank.com": (50, 2)}
     spec.update({f"h{i}.avqs.mcafee.com": (1, 1) for i in range(6)})
-    return make_table(spec)
+    return build_day_digest(make_day(spec))
+
+
+@pytest.fixture
+def table(digest):
+    return hit_rates_from_digest(digest)
 
 
 class TestChrCdf:
@@ -41,18 +52,18 @@ class TestChrCdf:
 
 
 class TestChrSplit:
-    def test_split(self, table):
+    def test_split(self, digest):
         # Names h{i}.avqs.mcafee.com sit at depth 4 under the zone.
-        split = chr_split(table, {("avqs.mcafee.com", 4)})
+        split = chr_split_from_digest(digest, {("avqs.mcafee.com", 4)})
         assert split.disposable_zero_fraction == 1.0
         assert split.non_disposable_median > 0.9
         assert split.non_disposable_fraction_above(0.58) == 1.0
 
-    def test_split_no_groups(self, table):
-        split = chr_split(table, set())
+    def test_split_no_groups(self, digest):
+        split = chr_split_from_digest(digest, set())
         assert len(split.disposable) == 0
         assert len(split.non_disposable) == 10
 
-    def test_day_carried(self, table):
-        split = chr_split(table, set())
+    def test_day_carried(self, digest):
+        split = chr_split_from_digest(digest, set())
         assert split.day == "t"

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.dedup import run_dedup_window
 from repro.dns.message import RCode, RRType
 from repro.pdns.database import PassiveDnsDatabase
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 def day(label, names):

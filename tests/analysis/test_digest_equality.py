@@ -1,23 +1,24 @@
 """Digest-based analysis functions against their per-entry oracles.
 
 Every ``*_from_digest`` function in ``repro.analysis`` must reproduce
-the legacy per-entry scan bit for bit on the same day — including
-order-sensitive details such as the top-zone tie-break and the volume
-bin edges.
+the per-entry scan in :mod:`tests.oracles` bit for bit on the same day
+— including order-sensitive details such as the top-zone tie-break and
+the volume bin edges.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.chrdist import chr_split, chr_split_from_digest
-from repro.analysis.clients import (clients_per_name,
-                                    clients_per_name_from_digest)
-from repro.analysis.summary import (build_daily_report,
-                                    build_daily_report_from_digest)
-from repro.analysis.volume import (day_summary, day_summary_from_digest,
-                                   hourly_volumes, hourly_volumes_from_digest)
-from repro.core.hitrate import compute_hit_rates, hit_rates_from_digest
+from repro.analysis.chrdist import chr_split_from_digest
+from repro.analysis.clients import clients_per_name_from_digest
+from repro.analysis.summary import build_daily_report_from_digest
+from repro.analysis.volume import (day_summary_from_digest,
+                                   hourly_volumes_from_digest)
+from repro.core.hitrate import hit_rates_from_digest
 from repro.core.interning import build_day_digest
+
+from tests.oracles import (build_daily_report, chr_split, clients_per_name,
+                           compute_hit_rates, day_summary, hourly_volumes)
 
 
 @pytest.fixture(scope="module")

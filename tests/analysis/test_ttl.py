@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.ttl import TTL_CLAMP, disposable_ttl_histogram
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 def day(entries):

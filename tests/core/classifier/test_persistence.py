@@ -188,6 +188,6 @@ class TestDeploymentFlow:
 
         date = PAPER_DATES[1]
         ranker = DisposableZoneRanker(deployed, MinerConfig())
-        result = ranker.run_day(small_context.dataset(date),
-                                small_context.hit_rates(date))
+        result = ranker.run_digest(small_context.digest(date),
+                                   small_context.hit_rates(date))
         assert result.groups == small_context.mining_result(date).groups

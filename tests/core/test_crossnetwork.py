@@ -66,11 +66,12 @@ class TestCrossNetworkOnSimulators:
         so they survive the unanimity quorum."""
         from repro.core.classifier import LadTreeClassifier
         from repro.core.features import FeatureExtractor
-        from repro.core.hitrate import compute_hit_rates
+        from repro.core.hitrate import hit_rates_from_digest
+        from repro.core.interning import build_day_digest
         from repro.core.labeling import build_training_set
         from repro.core.miner import MinerConfig
         from repro.core.ranking import (DisposableZoneRanker,
-                                        build_tree_for_day)
+                                        build_tree_from_digest)
         from repro.traffic.simulate import (MeasurementDate,
                                             PopulationConfig,
                                             SimulatorConfig,
@@ -87,14 +88,15 @@ class TestCrossNetworkOnSimulators:
                                         seed=workload_seed))
             simulator = TraceSimulator(config)
             day = simulator.run_day(MeasurementDate("probe", 313, 0.9))
-            hit_rates = compute_hit_rates(day)
-            tree = build_tree_for_day(day)
+            digest = build_day_digest(day)
+            hit_rates = hit_rates_from_digest(digest)
+            tree = build_tree_from_digest(digest)
             extractor = FeatureExtractor(tree, hit_rates)
             training = build_training_set(simulator.labeled_zones(), tree,
                                           extractor)
             classifier = LadTreeClassifier().fit(training.X, training.y)
             ranker = DisposableZoneRanker(classifier, MinerConfig())
-            return ranker.run_day(day, hit_rates).groups
+            return ranker.run_digest(digest, hit_rates).groups
 
         report = compare_networks({"ispA": mine_network(1),
                                    "ispB": mine_network(2)})

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.hitrate import HitRateTable, RRHitRate, compute_hit_rates
+from repro.core.hitrate import HitRateTable, RRHitRate, hit_rates_from_digest
+from repro.core.interning import build_day_digest
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 def _entry(ts, name, rdata, client=1, side_ttl=300):
@@ -58,7 +59,7 @@ class TestRRHitRate:
 class TestComputeHitRates:
     def test_counts(self):
         ds = make_dataset({"a.com": 5}, {"a.com": 2})
-        table = compute_hit_rates(ds)
+        table = hit_rates_from_digest(build_day_digest(ds))
         rate = table.get(("a.com", RRType.A, "1.2.3.4"))
         assert rate.queries_below == 5
         assert rate.misses_above == 2
@@ -66,7 +67,7 @@ class TestComputeHitRates:
 
     def test_above_only_record_included(self):
         ds = make_dataset({}, {"pre.com": 1})
-        table = compute_hit_rates(ds)
+        table = hit_rates_from_digest(build_day_digest(ds))
         rate = table.get(("pre.com", RRType.A, "1.2.3.4"))
         assert rate is not None
         assert rate.domain_hit_rate == 0.0
@@ -75,14 +76,14 @@ class TestComputeHitRates:
         ds = make_dataset({"a.com": 2}, {"a.com": 1})
         ds.below.append(FpDnsEntry(0.0, 1, "missing.com", RRType.A,
                                    RCode.NXDOMAIN))
-        table = compute_hit_rates(ds)
+        table = hit_rates_from_digest(build_day_digest(ds))
         assert len(table) == 1
 
     def test_distinct_rdata_distinct_records(self):
         ds = FpDnsDataset(day="t")
         ds.below.append(_entry(0, "a.com", "1.1.1.1"))
         ds.below.append(_entry(1, "a.com", "2.2.2.2"))
-        table = compute_hit_rates(ds)
+        table = hit_rates_from_digest(build_day_digest(ds))
         assert len(table) == 2
 
 
@@ -91,7 +92,7 @@ class TestHitRateTable:
     def table(self):
         ds = make_dataset({"hot.com": 10, "cold.com": 1, "warm.com": 4},
                           {"hot.com": 1, "cold.com": 1, "warm.com": 2})
-        return compute_hit_rates(ds)
+        return hit_rates_from_digest(build_day_digest(ds))
 
     def test_len_and_contains(self, table):
         assert len(table) == 3
@@ -138,7 +139,7 @@ class TestSimulatedDayConsistency:
         """In a live simulated day, per-RR misses should not exceed
         queries except for boundary effects (entries cached late in the
         previous day)."""
-        table = compute_hit_rates(tiny_day)
+        table = hit_rates_from_digest(build_day_digest(tiny_day))
         records = table.records()
         assert records
         bad = [r for r in records if r.misses_above > r.queries_below]
@@ -147,5 +148,5 @@ class TestSimulatedDayConsistency:
 
     def test_mostly_low_hit_rates(self, tiny_day):
         """The long-tail phenomenon: most RRs have zero DHR."""
-        table = compute_hit_rates(tiny_day)
+        table = hit_rates_from_digest(build_day_digest(tiny_day))
         assert table.zero_dhr_fraction() > 0.5

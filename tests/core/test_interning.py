@@ -1,22 +1,24 @@
 """Tests for repro.core.interning — the interned name table and the
 columnar day digest.
 
-The digest is only useful if it is *provably* the same day the legacy
+The digest is only useful if it is *provably* the same day the
 per-entry scans see, so most tests here are equalities against the
-:class:`repro.core.records.FpDnsDataset` oracle, on both hand-built
-edge-case datasets and a simulated day.
+:class:`repro.core.records.FpDnsDataset` aggregates and the
+:mod:`tests.oracles` functions, on both hand-built edge-case datasets
+and a simulated day.
 """
 
 import numpy as np
 
-from repro.core.hitrate import compute_hit_rates, hit_rates_from_digest
+from repro.core.hitrate import hit_rates_from_digest
 from repro.core.interning import DayDigest, NameTable, build_day_digest
 from repro.core.names import is_subdomain
 from repro.core.groups import name_matches_groups
-from repro.core.ranking import build_tree_for_day
 from repro.core.suffix import default_suffix_list
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
+
+from tests.oracles import build_tree_for_day, compute_hit_rates
 
 
 def _entry(ts, name, rdata, client=1, ttl=300, qtype=RRType.A,

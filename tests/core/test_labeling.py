@@ -88,11 +88,13 @@ class TestBuildTrainingSet:
 class TestSimulatedLabeling:
     def test_simulator_labels_produce_balanced_set(self, tiny_simulator,
                                                    tiny_day):
-        from repro.core.hitrate import compute_hit_rates
-        from repro.core.ranking import build_tree_for_day
+        from repro.core.hitrate import hit_rates_from_digest
+        from repro.core.interning import build_day_digest
+        from repro.core.ranking import build_tree_from_digest
 
-        tree = build_tree_for_day(tiny_day)
-        extractor = FeatureExtractor(tree, compute_hit_rates(tiny_day))
+        digest = build_day_digest(tiny_day)
+        tree = build_tree_from_digest(digest)
+        extractor = FeatureExtractor(tree, hit_rates_from_digest(digest))
         training = build_training_set(tiny_simulator.labeled_zones(), tree,
                                       extractor)
         assert training.n_positive >= 10

@@ -6,17 +6,18 @@ import pytest
 from repro.core.classifier import LadTreeClassifier
 from repro.core.classifier.base import BinaryClassifier
 from repro.core.features import FeatureExtractor
-from repro.core.hitrate import compute_hit_rates, hit_rates_from_digest
+from repro.core.groups import name_matches_groups
+from repro.core.hitrate import hit_rates_from_digest
 from repro.core.interning import build_day_digest
 from repro.core.labeling import build_training_set
 from repro.core.miner import MinerConfig
-from repro.core.ranking import (DisposableZoneRanker, build_tree_for_day,
-                                build_tree_from_digest, name_matches_groups)
+from repro.core.ranking import DisposableZoneRanker, build_tree_from_digest
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 from repro.traffic.simulate import PAPER_DATES, TraceSimulator
 
 from tests.conftest import TINY_DATE, tiny_simulator_config
+from tests.oracles import run_day
 
 
 class ChrOracle(BinaryClassifier):
@@ -56,7 +57,7 @@ class TestBuildTreeForDay:
                                    RCode.NOERROR, 300, "1.1.1.1"))
         ds.below.append(FpDnsEntry(1.0, 1, "missing.site.com", RRType.A,
                                    RCode.NXDOMAIN))
-        tree = build_tree_for_day(ds)
+        tree = build_tree_from_digest(build_day_digest(ds))
         assert tree.is_black("ok.site.com")
         assert not tree.is_black("missing.site.com")
 
@@ -66,7 +67,7 @@ class TestRankerOnSimulatedDay:
     def result(self, tiny_day):
         ranker = DisposableZoneRanker(ChrOracle(),
                                       MinerConfig(min_group_size=5))
-        return ranker.run_day(tiny_day)
+        return ranker.run_digest(build_day_digest(tiny_day))
 
     def test_counts_consistent(self, result, tiny_day):
         assert result.queried_domains == len(tiny_day.queried_domains())
@@ -101,9 +102,9 @@ class TestRankerOnSimulatedDay:
     def test_reuses_precomputed_hit_rates(self, tiny_day):
         ranker = DisposableZoneRanker(ChrOracle(),
                                       MinerConfig(min_group_size=5))
-        hit_rates = compute_hit_rates(tiny_day)
-        a = ranker.run_day(tiny_day, hit_rates)
-        b = ranker.run_day(tiny_day)
+        digest = build_day_digest(tiny_day)
+        a = ranker.run_digest(digest, hit_rates_from_digest(digest))
+        b = ranker.run_digest(digest)
         assert a.groups == b.groups
 
 
@@ -130,17 +131,17 @@ def _run_digest(dataset, classifier):
 
 class TestRunDigest:
     """``run_digest`` — the path experiments and the benchmark mine
-    through — must equal the per-entry ``run_day`` oracle, day for
-    day."""
+    through — must equal the per-entry ``run_day`` oracle in
+    :mod:`tests.oracles`, day for day."""
 
     def test_equals_legacy_run_day(self, calendar):
         datasets, classifier = calendar
         ranker = DisposableZoneRanker(classifier, MinerConfig())
         for dataset in datasets:
-            reference = ranker.run_day(dataset)
+            reference = run_day(ranker, dataset)
             candidate = _run_digest(dataset, classifier)
             assert candidate.day == reference.day
-            # Findings compared as sets: the legacy path orders them by
+            # Findings compared as sets: the oracle orders them by
             # `set` iteration, the digest path by deterministic
             # traversal order.
             assert set(candidate.findings) == set(reference.findings)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.hitrate import compute_hit_rates
+from repro.core.hitrate import hit_rates_from_digest
+from repro.core.interning import build_day_digest
 from repro.core.miner import MinerConfig
-from repro.core.ranking import build_tree_for_day
+from repro.core.ranking import build_tree_from_digest
 from repro.core.streaming import StreamingDayBuilder, mine_stream
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 def stream_of(dataset):
@@ -23,7 +24,7 @@ class TestEquivalenceWithBatch:
         builder = StreamingDayBuilder(day=tiny_day.day)
         builder.observe_many(stream_of(tiny_day))
         _, streamed = builder.finish()
-        batch = compute_hit_rates(tiny_day)
+        batch = hit_rates_from_digest(build_day_digest(tiny_day))
         assert len(streamed) == len(batch)
         for record in batch.records():
             other = streamed.get(record.key)
@@ -35,7 +36,7 @@ class TestEquivalenceWithBatch:
         builder = StreamingDayBuilder()
         builder.observe_many(stream_of(tiny_day))
         tree, _ = builder.finish()
-        batch_tree = build_tree_for_day(tiny_day)
+        batch_tree = build_tree_from_digest(build_day_digest(tiny_day))
         assert sorted(tree.black_names()) == sorted(batch_tree.black_names())
 
     def test_stats_match_dataset(self, tiny_day):
@@ -69,7 +70,8 @@ class TestMineStream:
         findings, stats = mine_stream(stream_of(tiny_day), ChrOracle(),
                                       config, day=tiny_day.day)
         from repro.core.ranking import DisposableZoneRanker
-        batch = DisposableZoneRanker(ChrOracle(), config).run_day(tiny_day)
+        batch = DisposableZoneRanker(ChrOracle(), config).run_digest(
+            build_day_digest(tiny_day))
         assert {f.as_group_key() for f in findings} == batch.groups
         assert stats.below_entries > 0
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments.context import (MEDIUM, SMALL, ExperimentContext,
                                        ScaleProfile)
+from repro.experiments.figures import run_fig02_traffic_volume
+from repro.experiments.validation import validate_calibration
 from repro.traffic.artifacts import FpDnsArtifactCache
 from repro.traffic.simulate import PAPER_DATES, MeasurementDate
 
@@ -105,6 +107,17 @@ class TestAcceleratedContext:
         assert digest is day.day_digest()       # no rebuild
         assert day._below_entries is None       # no materialisation
         assert day._above_entries is None
+
+        # Figure 2 and the calibration scorecard read digests too.
+        run_fig02_traffic_volume(warm)
+        validate_calibration(warm.simulator, warm.digest(PAPER_DATES[-1]),
+                             warm.hit_rates(PAPER_DATES[-1]))
+        loaded = list(warm._datasets.values())
+        assert len(loaded) > 1
+        for loaded_day in loaded:
+            assert isinstance(loaded_day, ColumnarFpDnsDataset)
+            assert loaded_day._below_entries is None
+            assert loaded_day._above_entries is None
 
     def test_mining_identical_across_formats_and_workers(self, tmp_path):
         """The paper's outputs are invariant under the artifact cache,

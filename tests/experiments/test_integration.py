@@ -3,7 +3,7 @@ the simulator's ground truth."""
 
 import pytest
 
-from repro.core.ranking import name_matches_groups
+from repro.core.groups import name_matches_groups
 from repro.traffic.simulate import PAPER_DATES
 
 
@@ -57,8 +57,8 @@ class TestEndToEndPipeline:
         from repro.core.ranking import DisposableZoneRanker
         ranker = DisposableZoneRanker(small_context.classifier(),
                                       MinerConfig(threshold=0.9))
-        b = ranker.run_day(small_context.dataset(PAPER_DATES[2]),
-                           small_context.hit_rates(PAPER_DATES[2]))
+        b = ranker.run_digest(small_context.digest(PAPER_DATES[2]),
+                              small_context.hit_rates(PAPER_DATES[2]))
         assert a.groups == b.groups
 
     def test_fig11_style_zone_inventory(self, small_context, december):

@@ -1,7 +1,7 @@
 """Tests for the text-report helpers."""
 
-from repro.experiments.report import (format_kv, format_percent,
-                                      format_series, format_table)
+from repro.textutil import (format_kv, format_percent, format_series,
+                            format_table)
 
 
 class TestFormatPercent:

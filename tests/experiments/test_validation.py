@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core.interning import build_day_digest
 from repro.experiments.validation import validate_calibration
 
 
 class TestCalibrationScorecard:
     @pytest.fixture(scope="class")
     def scorecard(self, tiny_simulator, tiny_day):
-        return validate_calibration(tiny_simulator, tiny_day)
+        return validate_calibration(tiny_simulator,
+                                    build_day_digest(tiny_day))
 
     def test_default_workload_passes_all_invariants(self, scorecard):
         assert scorecard.all_passed, scorecard.render()
@@ -56,6 +58,6 @@ class TestMiscalibrationDetected:
                                     disposable_share_end=0.70))
         simulator = TraceSimulator(config)
         day = simulator.run_day(MeasurementDate("flood", 100, 1.0))
-        scorecard = validate_calibration(simulator, day)
+        scorecard = validate_calibration(simulator, build_day_digest(day))
         failed = {check.name for check in scorecard.failures()}
         assert "disposable share of resolved names" in failed

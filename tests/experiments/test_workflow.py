@@ -9,12 +9,11 @@ import pytest
 
 from repro.core.classifier import load_lad_tree, save_lad_tree
 from repro.core.features import FeatureExtractor
-from repro.core.hitrate import compute_hit_rates
 from repro.core.miner import MinerConfig
 from repro.core.profile import ZoneProfiler
 from repro.core.streaming import StreamingDayBuilder, mine_stream
 from repro.core.tracking import ZoneTracker
-from repro.pdns.database import PassiveDnsDatabase
+from repro.pdns.database import PassiveDnsDatabase, wildcard_aggregated_size
 from repro.pdns.io import iter_fpdns_entries, save_fpdns
 from repro.pdns.query import PdnsQueryIndex
 
@@ -55,7 +54,7 @@ class TestOperatorWorkflow:
         database = PassiveDnsDatabase()
         database.ingest_day(dataset)
         groups = {finding.as_group_key() for finding in findings}
-        mitigated_rows = database.wildcard_aggregated_size(groups)
+        mitigated_rows = wildcard_aggregated_size(database, groups)
         index = PdnsQueryIndex(database)
 
         return {

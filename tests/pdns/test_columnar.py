@@ -14,7 +14,7 @@ from repro.dns.message import RCode, RRType
 from repro.pdns.columnar import (FPDNS2_MAGIC, FPDNS2_VERSION,
                                  ColumnarFpDnsDataset, dumps_fpdns2,
                                  load_fpdns2, loads_fpdns2, save_fpdns2)
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 @pytest.fixture

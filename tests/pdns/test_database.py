@@ -3,8 +3,9 @@
 import pytest
 
 from repro.dns.message import RRType
-from repro.pdns.database import ROW_BYTES, PassiveDnsDatabase, wildcard_name
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.pdns.database import (ROW_BYTES, PassiveDnsDatabase,
+                                 wildcard_aggregated_size, wildcard_name)
+from repro.core.records import FpDnsDataset, FpDnsEntry
 from repro.dns.message import RCode
 
 
@@ -86,20 +87,14 @@ class TestWildcardAggregation:
     def test_aggregation_collapses_disposable(self, db):
         groups = {("dns.xx.fbcdn.net", 5)}
         # 10 disposable rows -> 1 wildcard row; 2 normal rows kept.
-        assert db.wildcard_aggregated_size(groups) == 3
+        assert wildcard_aggregated_size(db, groups) == 3
 
     def test_no_groups_keeps_everything(self, db):
-        assert db.wildcard_aggregated_size(set()) == 12
-
-    def test_split_by_disposable(self, db):
-        groups = {("dns.xx.fbcdn.net", 5)}
-        disposable, other = db.split_by_disposable(groups)
-        assert len(disposable) == 10
-        assert len(other) == 2
+        assert wildcard_aggregated_size(db, set()) == 12
 
     def test_depth_must_match(self, db):
         groups = {("dns.xx.fbcdn.net", 6)}  # wrong depth
-        assert db.wildcard_aggregated_size(groups) == 12
+        assert wildcard_aggregated_size(db, groups) == 12
 
     def test_contains(self, db):
         assert key("www.bank.com") in db

@@ -13,7 +13,7 @@ from repro.core.interning import build_day_digest
 from repro.dns.message import RCode, RRType
 from repro.pdns.database import PassiveDnsDatabase
 from repro.pdns.query import PdnsQueryIndex
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 def _day(label, names_to_rdata):

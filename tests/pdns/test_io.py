@@ -7,7 +7,7 @@ import pytest
 from repro.dns.message import RCode, RRType
 from repro.pdns.io import (FormatError, iter_fpdns_entries, load_fpdns,
                            save_fpdns)
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 
 
 @pytest.fixture

@@ -69,7 +69,7 @@ class TestDisposableBloat:
                                              tiny_day):
         """The Section VI-C concern: disposable records dominate the
         forensic indexes an analyst has to store and search."""
-        from repro.core.ranking import name_matches_groups
+        from repro.core.groups import name_matches_groups
 
         truth = tiny_simulator.disposable_truth()
         full_db = PassiveDnsDatabase()

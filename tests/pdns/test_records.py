@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry, RpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry, RpDnsEntry
 
 
 def entry(name, rdata=None, rcode=RCode.NOERROR, ts=0.0, client=1,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.message import RCode, RRType
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 from repro.pdns.database import PassiveDnsDatabase
 from repro.pdns.sizing import (ENTRY_METADATA_BYTES, database_storage_report,
                                entry_storage_bytes, estimate_dataset_size)
@@ -98,7 +98,7 @@ class TestPaperGrowthClaim:
         less than their record share would suggest."""
         truth = tiny_simulator.disposable_truth()
         report = estimate_dataset_size(tiny_day, disposable_groups=truth)
-        from repro.core.ranking import name_matches_groups
+        from repro.core.groups import name_matches_groups
         n_disposable = sum(
             1 for stream in (tiny_day.below, tiny_day.above)
             for e in stream if name_matches_groups(e.qname, truth))

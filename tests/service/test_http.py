@@ -159,6 +159,37 @@ class TestBadRequests:
         _, body = _get(server, "/metrics")
         assert "repro_serve_request_errors_total 1" in body
 
+    def test_stdlib_errors_answer_json_and_are_counted(self, server):
+        """Errors ``http.server`` answers before any handler runs (an
+        unsupported method, a request line over its 64 KiB limit) get
+        the API's JSON body and count like every other error."""
+        for method, path, status in [("BREW", "/classify", 501),
+                                     ("GET", "/" + "a" * 70_000, 414)]:
+            conn = _connection(server)
+            try:
+                conn.request(method, path)
+                response = conn.getresponse()
+                body = response.read()
+            finally:
+                conn.close()
+            assert response.status == status
+            assert response.getheader("Content-Type") == "application/json"
+            assert json.loads(body)["error"]
+        _, metrics = _get(server, "/metrics")
+        assert _metric(metrics, "repro_serve_request_errors_total") == 2
+
+    def test_head_error_has_no_body(self, server):
+        conn = _connection(server)
+        try:
+            conn.request("HEAD", "/healthz")
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 501
+        assert response.getheader("Content-Type") == "application/json"
+        assert body == b""
+
 
 class TestKeepAlive:
     def test_back_to_back_requests_do_not_stall(self, server, tiny_stream):

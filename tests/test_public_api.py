@@ -39,15 +39,17 @@ def test_no_duplicate_exports_within_package():
 
 def test_readme_documented_entry_points():
     from repro.core import (DisposableZoneRanker, FeatureExtractor,
-                            MinerConfig, build_training_set,
-                            build_tree_for_day, compute_hit_rates)
+                            MinerConfig, build_day_digest,
+                            build_training_set, build_tree_from_digest,
+                            hit_rates_from_digest)
     from repro.core.classifier import LadTreeClassifier
     from repro.traffic import (MeasurementDate, SimulatorConfig,
                                TraceSimulator)
     assert all([DisposableZoneRanker, FeatureExtractor, MinerConfig,
-                build_training_set, build_tree_for_day, compute_hit_rates,
-                LadTreeClassifier, MeasurementDate, SimulatorConfig,
-                TraceSimulator])
+                build_day_digest, build_training_set,
+                build_tree_from_digest, hit_rates_from_digest,
+                DisposableZoneRanker.run_digest, LadTreeClassifier,
+                MeasurementDate, SimulatorConfig, TraceSimulator])
 
 
 def test_cli_module_runnable():

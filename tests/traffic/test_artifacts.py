@@ -6,7 +6,7 @@ import pytest
 
 from repro.dns.message import RCode, RRType
 from repro.pdns.columnar import FPDNS2_MAGIC, FPDNS2_VERSION
-from repro.pdns.records import FpDnsDataset, FpDnsEntry
+from repro.core.records import FpDnsDataset, FpDnsEntry
 from repro.traffic.artifacts import (ARTIFACT_FORMAT, COLUMNAR_SUFFIX,
                                      FpDnsArtifactCache, artifact_key)
 from repro.traffic.population import PopulationConfig

@@ -55,7 +55,7 @@ class TestSimulatedDay:
     def test_later_day_has_more_disposable(self, tiny_simulator):
         """Growth mechanism: the December day carries a larger share of
         ground-truth disposable names than the February day."""
-        from repro.core.ranking import name_matches_groups
+        from repro.core.groups import name_matches_groups
         truth = tiny_simulator.disposable_truth()
         early = tiny_simulator.run_day(MeasurementDate("feb", 31, 0.0))
         late = tiny_simulator.run_day(MeasurementDate("dec", 363, 1.0))

@@ -40,7 +40,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.parallelism import available_cpu_count  # noqa: E402
 from repro.experiments.context import MEDIUM, SMALL, ScaleProfile  # noqa: E402
-from repro.pdns.records import FpDnsDataset  # noqa: E402
+from repro.core.records import FpDnsDataset  # noqa: E402
 from repro.traffic.artifacts import (FpDnsArtifactCache,  # noqa: E402
                                      artifact_key)
 from repro.traffic.simulate import (PAPER_DATES,  # noqa: E402

@@ -63,7 +63,7 @@ from repro.experiments.context import (MEDIUM, SMALL,  # noqa: E402
                                        TRAINING_DATE, ScaleProfile)
 from repro.pdns.columnar import load_fpdns2, save_fpdns2  # noqa: E402
 from repro.pdns.io import load_fpdns, save_fpdns  # noqa: E402
-from repro.pdns.records import FpDnsDataset  # noqa: E402
+from repro.core.records import FpDnsDataset  # noqa: E402
 from repro.traffic.simulate import PAPER_DATES, TraceSimulator  # noqa: E402
 
 OUTPUT = REPO_ROOT / "BENCH_io.json"

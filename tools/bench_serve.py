@@ -148,8 +148,8 @@ def bench(profile: ScaleProfile, n_events: Optional[int], n_names: int,
         results["constrained"] = True
 
     # Grouped best-of-N with the collector paused (the ``timeit``
-    # discipline, as in tools/bench_miner.py): all repeats of one path
-    # run back to back and the minimum is the comparable number.
+    # discipline): all repeats of one path run back to back and the
+    # minimum is the comparable number.
     gc.collect()
     gc.disable()
     try:
