@@ -155,10 +155,15 @@ class ArtifactStore:
         return path
 
     def delete(self, key: str) -> bool:
-        """Remove ``key``'s blob if present; True when something went."""
+        """Remove ``key``'s blob; False when it was already gone.
+
+        Every other failure to unlink (permissions, I/O) propagates: a
+        caller that deletes to finish a change must not read a blob
+        left in place as gone.
+        """
         try:
             self.path_for(key).unlink()
-        except OSError:
+        except FileNotFoundError:
             return False
         return True
 

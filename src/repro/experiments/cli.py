@@ -19,8 +19,9 @@ environment knob.
 
 ``pdns`` operates on segmented on-disk pdns stores
 (:mod:`repro.pdns.store`; docs/PERFORMANCE.md §7): ``stats`` prints
-segment counts/bytes and prefilter counters, ``compact`` k-way-merges
-segments (``--max-rows`` limits merging to small segments), and
+segment counts/bytes and prefilter counters, ``compact`` merges
+segments over their columns (``--max-rows`` limits merging to small
+segments), and
 ``prune`` destructively drops oldest segments to a ``--max-bytes``
 budget.  Without ``--dir`` it uses the ``REPRO_PDNS_STORE`` knob.
 Both maintenance commands refuse a directory that does not exist

@@ -95,11 +95,12 @@ class ExperimentContext:
         Each completed day is persisted there, and a later session with
         the same profile loads it instead of simulating.
     resident_days:
-        Keep at most this many per-entry day datasets resident in
-        memory (requires ``artifact_cache``; ignored without one).
-        Older days are evicted after each newly produced day and
-        transparently reloaded from the artifact cache on the next
-        request.  ``None`` (the default) keeps every day resident.
+        Keep the per-day memos (dataset, digest, hit-rate table and
+        mining results) of at most this many days resident in memory
+        (requires ``artifact_cache``; ignored without one).  The least
+        recently used day is evicted whole, and its dataset reloads
+        transparently from the artifact cache on the next request.
+        ``None`` (the default) keeps every day resident.
         :meth:`release_day` is the matching manual eviction path.
     """
 
@@ -114,6 +115,9 @@ class ExperimentContext:
         self._digests: Dict[str, DayDigest] = {}
         self._hit_rates: Dict[str, HitRateTable] = {}
         self._mining: Dict[str, DailyMiningResult] = {}
+        #: Labels of the days with a resident memo, least recently used
+        #: first (the ``resident_days`` eviction order).
+        self._recent: Dict[str, None] = {}
         self._training_set: Optional[TrainingSet] = None
         self._classifier: Optional[LadTreeClassifier] = None
         self._last_day_index = -1
@@ -165,23 +169,34 @@ class ExperimentContext:
             self.artifacts.store(
                 artifact_key(self.simulator.config, self._history), dataset,
                 digest=digest)
-        self._evict_resident()
+        self._touch(date.label)
 
-    def _evict_resident(self) -> None:
-        """Bound the resident per-entry datasets (R015).
+    def _touch(self, label: str) -> None:
+        """Mark ``label``'s memos most recently used, then bound the
+        resident days (R015).
 
-        Oldest-produced days are dropped from the in-memory memo once
-        more than ``resident_days`` are resident; they stay *produced*
-        (``_produced``/``_history`` are untouched) and reload from the
-        artifact cache on the next request.  Without an artifact cache
-        eviction would make a day unrecoverable, so it is skipped.
+        Beyond ``resident_days``, the least recently used day loses all
+        its memos at once; it stays *produced* (``_produced`` and
+        ``_history`` are untouched) and reloads from the artifact cache
+        on the next request.  Without an artifact cache eviction would
+        make a day unrecoverable, so it is skipped.
         """
+        self._recent.pop(label, None)
+        self._recent[label] = None
         if self.resident_days is None or self.artifacts is None:
             return
-        while len(self._datasets) > max(1, self.resident_days):
-            oldest = min(self._datasets,
-                         key=lambda label: self._produced[label])
-            self._datasets.pop(oldest)
+        while len(self._recent) > max(1, self.resident_days):
+            self._drop_day(next(iter(self._recent)))
+
+    def _drop_day(self, label: str) -> None:
+        """Forget every per-day memo of ``label``."""
+        self._recent.pop(label, None)
+        self._datasets.pop(label, None)
+        self._digests.pop(label, None)
+        self._hit_rates.pop(label, None)
+        for key in [k for k in self._mining
+                    if k.startswith(f"{label}@")]:
+            self._mining.pop(key)
 
     def _reload(self, date: MeasurementDate) -> FpDnsDataset:
         """Bring an evicted (produced) day back into residency."""
@@ -197,7 +212,7 @@ class ExperimentContext:
                 f"day {date.label} is no longer in the artifact cache; "
                 f"cannot restore the released dataset")
         self._datasets[date.label] = cached
-        self._evict_resident()
+        self._touch(date.label)
         return cached
 
     def release_day(self, date: MeasurementDate) -> None:
@@ -209,13 +224,7 @@ class ExperimentContext:
         tables.  This is the manual eviction path for long sessions
         (the automatic one is the ``resident_days`` bound).
         """
-        label = date.label
-        self._datasets.pop(label, None)
-        self._digests.pop(label, None)
-        self._hit_rates.pop(label, None)
-        for key in [k for k in self._mining
-                    if k.startswith(f"{label}@")]:
-            self._mining.pop(key)
+        self._drop_day(date.label)
 
     def _simulate_batch(self, dates: List[MeasurementDate]) -> None:
         """Produce ``dates`` (chronological), cheapest source first:
@@ -250,6 +259,7 @@ class ExperimentContext:
         dates must not go back in time.
         """
         if date.label in self._datasets:
+            self._touch(date.label)
             return self._datasets[date.label]
         if date.label in self._produced:
             # Produced earlier but evicted from residency: restore it
@@ -291,15 +301,20 @@ class ExperimentContext:
         (:func:`~repro.core.interning.digest_of`): disk -> numpy ->
         digest, no entry materialisation.
         """
-        if date.label not in self._digests:
-            self._digests[date.label] = digest_of(self.dataset(date))
-        return self._digests[date.label]
+        digest = self._digests.get(date.label)
+        if digest is None:
+            digest = digest_of(self.dataset(date))
+            self._digests[date.label] = digest
+        self._touch(date.label)
+        return digest
 
     def hit_rates(self, date: MeasurementDate) -> HitRateTable:
-        if date.label not in self._hit_rates:
-            self._hit_rates[date.label] = hit_rates_from_digest(
-                self.digest(date))
-        return self._hit_rates[date.label]
+        table = self._hit_rates.get(date.label)
+        if table is None:
+            table = hit_rates_from_digest(self.digest(date))
+            self._hit_rates[date.label] = table
+        self._touch(date.label)
+        return table
 
     # -- training / classification -------------------------------------------
 
@@ -321,12 +336,15 @@ class ExperimentContext:
     def mining_result(self, date: MeasurementDate,
                       threshold: float = 0.9) -> DailyMiningResult:
         key = f"{date.label}@{threshold}"
-        if key not in self._mining:
+        result = self._mining.get(key)
+        if result is None:
             ranker = DisposableZoneRanker(
                 self.classifier(), MinerConfig(threshold=threshold))
-            self._mining[key] = ranker.run_digest(self.digest(date),
-                                                  self.hit_rates(date))
-        return self._mining[key]
+            result = ranker.run_digest(self.digest(date),
+                                       self.hit_rates(date))
+            self._mining[key] = result
+        self._touch(date.label)
+        return result
 
     def mined_groups(self, date: MeasurementDate,
                      threshold: float = 0.9) -> Set[Tuple[str, int]]:

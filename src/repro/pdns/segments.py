@@ -5,9 +5,9 @@ rdata)`` identity triples with their exact first-seen day — as packed
 numpy columns plus small **prefilters** that let the query layer skip
 the segment without opening its payload.  Segments are the unit of the
 LSM-flavoured :class:`repro.pdns.store.SegmentedPdnsStore`: every
-ingested day becomes one segment, compaction k-way-merges segments
-into bigger ones, and queries union only the segments whose prefilters
-match.
+ingested day becomes one segment, compaction merges segments into
+bigger ones over their columns (:func:`merge_segments`), and queries
+union only the segments whose prefilters match.
 
 On-disk layout
 --------------
@@ -39,8 +39,11 @@ rows are ordered by :func:`repro.core.records.rr_sort_key`, string
 pools are derived from that order, the day pool is sorted, and the
 JSON header is canonical.  Merging the same row set grouped or ordered
 any way therefore produces **byte-identical** segments — the
-compaction determinism contract
-(``tests/pdns/test_store.py`` pins it).
+compaction determinism contract (``tests/pdns/test_store.py`` pins
+it).  :func:`merge_segments` writes the same bytes as the row writer
+over the rows a dict merge of its inputs collects, without decoding a
+row or hashing a string again (``tests/pdns/test_store_properties.py``
+holds it to that oracle).
 
 Corruption
 ----------
@@ -58,7 +61,8 @@ from __future__ import annotations
 import hashlib
 import mmap
 import os
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -70,8 +74,8 @@ from repro.core.names import parent
 from repro.core.records import RpDnsEntry, RRKey, rr_sort_key
 
 __all__ = ["SEGMENT_MAGIC", "SEGMENT_SUFFIX", "SEGMENT_VERSION",
-           "Segment", "SegmentMeta", "build_segment_bytes", "hash64",
-           "hash_rr_key", "open_segment", "zone_ancestors"]
+           "MergeInput", "Segment", "SegmentMeta", "build_segment_bytes",
+           "hash64", "hash_rr_key", "merge_segments", "open_segment"]
 
 SEGMENT_MAGIC = b"#repro-pdnsseg1\n"
 SEGMENT_VERSION = 1
@@ -104,21 +108,6 @@ def hash_rr_key(key: RRKey) -> int:
         hashlib.blake2b(blob, digest_size=8).digest(), "little")
 
 
-def zone_ancestors(name: str) -> List[str]:
-    """Every proper ancestor zone of ``name`` (``a.b.c`` -> b.c, c)."""
-    zones: List[str] = []
-    ancestor = parent(name)
-    while ancestor is not None:
-        zones.append(ancestor)
-        ancestor = parent(ancestor)
-    return zones
-
-
-def _sorted_hash_array(hashes: Sequence[int]) -> np.ndarray:
-    array = np.array(sorted(set(hashes)), dtype=np.uint64)
-    return array
-
-
 def _pool_string(blob: np.ndarray, offsets: np.ndarray, index: int) -> str:
     """Decode one pooled string without touching the rest of the blob."""
     start = int(offsets[index])
@@ -126,18 +115,126 @@ def _pool_string(blob: np.ndarray, offsets: np.ndarray, index: int) -> str:
     return blob[start:end].tobytes().decode("utf-8")
 
 
+#: Rank of each RR type code in :func:`~repro.core.records.rr_sort_key`
+#: order, which sorts types by name.
+_QTYPE_RANK = np.array(
+    [sorted(member.value for member in RRTYPE_BY_CODE).index(member.value)
+     for member in RRTYPE_BY_CODE], dtype=np.int64)
+
+#: Bytes of each string in the fixed-width sort key of a pool merge.
+#: Strings that tie on it and run longer are compared whole, so the
+#: key's memory does not grow with the longest name in the store.
+_KEY_BYTES = 32
+
+#: Byte budget of one chunk of the index arrays that copy pool strings.
+_CHUNK_BYTES = 1 << 20
+
+
 # -- writing -----------------------------------------------------------
 
 
+class _Pool(NamedTuple):
+    """One string pool: UTF-8 ``blob``, ``len + 1`` byte ``offsets``,
+    and the :func:`hash64` of every string."""
+
+    blob: np.ndarray
+    offsets: np.ndarray
+    hashes: np.ndarray
+
+
+class _Rows(NamedTuple):
+    """Row columns in canonical order: pool ids, type codes, day ids."""
+
+    name_ids: np.ndarray
+    qtypes: np.ndarray
+    rdata_ids: np.ndarray
+    day_ids: np.ndarray
+
+
+def _write_segment(day_pool: List[str], names: _Pool, rdatas: _Pool,
+                   rows: _Rows, zone_hashes: np.ndarray,
+                   rr_hashes: np.ndarray) -> bytes:
+    """Frame one segment: pools, row columns and the four prefilters.
+
+    Both builders end here, so the column set and its dtypes live in
+    one place.  ``zone_hashes`` and ``rr_hashes`` may repeat and come
+    in any order; the name and RDATA filters are the distinct hashes
+    of the two pools.
+    """
+    days_blob, days_offsets = encode_string_pool(day_pool)
+    payload = pack_columns({
+        "names_blob": names.blob.astype(np.uint8, copy=False),
+        "names_offsets": names.offsets.astype(np.int64, copy=False),
+        "name_hash_by_id": names.hashes.astype(np.uint64, copy=False),
+        "rdata_blob": rdatas.blob.astype(np.uint8, copy=False),
+        "rdata_offsets": rdatas.offsets.astype(np.int64, copy=False),
+        "rdata_hash_by_id": rdatas.hashes.astype(np.uint64, copy=False),
+        "days_blob": days_blob,
+        "days_offsets": days_offsets,
+        "row_name_ids": rows.name_ids.astype(np.int32, copy=False),
+        "row_qtypes": rows.qtypes.astype(np.int16, copy=False),
+        "row_rdata_ids": rows.rdata_ids.astype(np.int32, copy=False),
+        "row_day_ids": rows.day_ids.astype(np.int32, copy=False),
+    })
+    filters = pack_columns({
+        "name_hashes": _distinct_hashes(names.hashes),
+        "rdata_hashes": _distinct_hashes(rdatas.hashes),
+        "zone_hashes": _distinct_hashes(zone_hashes),
+        "rr_hashes": _distinct_hashes(rr_hashes),
+    })
+    return write_frame(SEGMENT_MAGIC,
+                       {"days": day_pool, "n_names": len(names.hashes),
+                        "n_rows": len(rows.name_ids),
+                        "version": SEGMENT_VERSION},
+                       {"filters": filters, "payload": payload})
+
+
+def _distinct_hashes(hashes: np.ndarray) -> np.ndarray:
+    ordered = np.sort(hashes.astype(np.uint64, copy=False))
+    return ordered[_run_starts(ordered)]
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted ``columns`` that differ from the row
+    before them: the first row of each run of equal rows."""
+    starts = np.zeros(len(columns[0]), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        starts[1:] |= column[1:] != column[:-1]
+    return starts
+
+
+def _zone_hashes(names: Sequence[str]) -> np.ndarray:
+    """:func:`hash64` of every proper ancestor zone of ``names``.
+
+    Each distinct ancestor is hashed once: a name's walk stops at the
+    first ancestor already hashed, because every zone above it was
+    hashed in the same earlier walk.
+    """
+    seen: Set[str] = set()
+    hashes: List[int] = []
+    for name in names:
+        zone = parent(name)
+        while zone is not None and zone not in seen:
+            seen.add(zone)
+            hashes.append(hash64(zone))
+            zone = parent(zone)
+    return np.array(hashes, dtype=np.uint64)
+
+
 def build_segment_bytes(rows: Mapping[RRKey, str],
-                        days: Optional[Sequence[str]] = None) -> bytes:
+                        days: Optional[Sequence[str]] = None,
+                        rr_hashes: Optional[np.ndarray] = None) -> bytes:
     """Serialise ``rows`` (RR key -> first-seen day) to one segment.
 
     ``days`` may list *every* day the segment accounts for, including
     days that contributed zero new rows (the store preserves the
     in-memory database's per-day ledger exactly); it defaults to the
-    distinct row days.  Output bytes are a pure function of
-    ``(rows, days)`` — any iteration order, any merge grouping.
+    distinct row days.  ``rr_hashes`` are the :func:`hash_rr_key`
+    values of ``rows``' keys in any order, for a caller that already
+    computed them; they are computed here when absent.  Output bytes
+    are a pure function of ``(rows, days)`` — any iteration order, any
+    merge grouping.
     """
     day_pool: List[str] = sorted(set(days) if days is not None
                                  else set(rows.values()))
@@ -157,7 +254,6 @@ def build_segment_bytes(rows: Mapping[RRKey, str],
     row_qtypes = np.empty(len(ordered), dtype=np.int16)
     row_rdata_ids = np.empty(len(ordered), dtype=np.int32)
     row_day_ids = np.empty(len(ordered), dtype=np.int32)
-    rr_hashes: List[int] = []
     for row, ((name, qtype, rdata), day) in enumerate(ordered):
         nid = name_ids.get(name)
         if nid is None:
@@ -173,43 +269,207 @@ def build_segment_bytes(rows: Mapping[RRKey, str],
         row_qtypes[row] = RRTYPE_CODES[qtype]
         row_rdata_ids[row] = rid
         row_day_ids[row] = day_ids[day]
-        rr_hashes.append(hash_rr_key((name, qtype, rdata)))
+    if rr_hashes is None:
+        rr_hashes = np.array([hash_rr_key(key) for key in rows],
+                             dtype=np.uint64)
 
     name_hash_by_id = np.array([hash64(name) for name in names],
                                dtype=np.uint64)
     rdata_hash_by_id = np.array([hash64(rdata) for rdata in rdatas],
                                 dtype=np.uint64)
-    zone_hashes: List[int] = []
-    for name in names:
-        zone_hashes.extend(hash64(zone) for zone in zone_ancestors(name))
+    return _write_segment(
+        day_pool, _Pool(*encode_string_pool(names), name_hash_by_id),
+        _Pool(*encode_string_pool(rdatas), rdata_hash_by_id),
+        _Rows(row_name_ids, row_qtypes, row_rdata_ids, row_day_ids),
+        _zone_hashes(names), rr_hashes)
 
-    names_blob, names_offsets = encode_string_pool(names)
-    rdata_blob, rdata_offsets = encode_string_pool(rdatas)
-    days_blob, days_offsets = encode_string_pool(day_pool)
-    payload = pack_columns({
-        "names_blob": names_blob,
-        "names_offsets": names_offsets,
-        "name_hash_by_id": name_hash_by_id,
-        "rdata_blob": rdata_blob,
-        "rdata_offsets": rdata_offsets,
-        "rdata_hash_by_id": rdata_hash_by_id,
-        "days_blob": days_blob,
-        "days_offsets": days_offsets,
-        "row_name_ids": row_name_ids,
-        "row_qtypes": row_qtypes,
-        "row_rdata_ids": row_rdata_ids,
-        "row_day_ids": row_day_ids,
-    })
-    filters = pack_columns({
-        "name_hashes": _sorted_hash_array(name_hash_by_id.tolist()),
-        "rdata_hashes": _sorted_hash_array(rdata_hash_by_id.tolist()),
-        "zone_hashes": _sorted_hash_array(zone_hashes),
-        "rr_hashes": _sorted_hash_array(rr_hashes),
-    })
-    return write_frame(SEGMENT_MAGIC,
-                       {"days": day_pool, "n_names": len(names),
-                        "n_rows": len(ordered), "version": SEGMENT_VERSION},
-                       {"filters": filters, "payload": payload})
+
+class MergeInput(NamedTuple):
+    """One segment's day list, payload columns and prefilters, copied
+    out of its mapping (:meth:`Segment.merge_input`), so the segment
+    may be released while :func:`merge_segments` runs."""
+
+    days: List[str]
+    columns: Dict[str, np.ndarray]
+    filters: Dict[str, np.ndarray]
+
+
+class _MergedPool:
+    """The distinct strings of several pools, ranked in string order.
+
+    Strings are compared as UTF-8 bytes with the length as tiebreak,
+    which is Python's string order and keeps strings that differ only
+    by trailing NULs apart (fixed-width byte keys pad with NULs).  The
+    sort key holds each string's first :data:`_KEY_BYTES` bytes; runs
+    of strings that tie on it and run longer are re-sorted whole.
+    """
+
+    def __init__(self, pools: Sequence[_Pool]) -> None:
+        counts = [len(pool.offsets) - 1 for pool in pools]
+        blob_bases = np.cumsum([0] + [len(pool.blob) for pool in pools])
+        self.blob = np.concatenate([pool.blob for pool in pools])
+        self.starts = np.concatenate(
+            [pool.offsets[:-1] + base for pool, base in zip(pools,
+                                                            blob_bases)])
+        self.lengths = np.concatenate(
+            [np.diff(pool.offsets) for pool in pools])
+        self.hashes = np.concatenate([pool.hashes for pool in pools])
+        width = min(max(int(self.lengths.max(initial=0)), 1), _KEY_BYTES)
+        keys = _padded_strings(self.blob, self.starts, self.lengths,
+                               width).view(f"S{width}").ravel()
+        order = np.lexsort((self.lengths, keys))
+        keys = keys[order]
+        lengths = self.lengths[order]
+        distinct = _run_starts(keys, lengths)
+        self._sort_ties_whole(order, distinct, _run_starts(keys),
+                              lengths > width)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.cumsum(distinct) - 1
+        #: One entry holding each rank's string.
+        self.first = order[distinct]
+        bounds = np.cumsum([0] + counts)
+        #: Per input pool: local string id -> global rank.
+        self.ranks = [rank[begin:end]
+                      for begin, end in zip(bounds[:-1], bounds[1:])]
+
+    def _sort_ties_whole(self, order: np.ndarray, distinct: np.ndarray,
+                         key_starts: np.ndarray,
+                         truncated: np.ndarray) -> None:
+        """Re-sort by their whole bytes the runs of ``order`` whose
+        strings tie on the key and hold one longer than it, and mark
+        which of their strings differ from the one before."""
+        run_ids = np.cumsum(key_starts) - 1
+        run_starts = np.flatnonzero(key_starts)
+        run_ends = run_starts + np.bincount(run_ids,
+                                            minlength=len(run_starts))
+        has_long = np.bincount(run_ids, weights=truncated,
+                               minlength=len(run_starts)) > 0
+        tied = has_long & (run_ends - run_starts > 1)
+        for low, high in zip(run_starts[tied].tolist(),
+                             run_ends[tied].tolist()):
+            members = order[low:high]
+            strings = [self.blob[start:start + length].tobytes()
+                       for start, length in zip(
+                           self.starts[members].tolist(),
+                           self.lengths[members].tolist())]
+            by_bytes = sorted(range(high - low), key=strings.__getitem__)
+            order[low:high] = members[by_bytes]
+            distinct[low + 1:high] = [
+                strings[this] != strings[before]
+                for before, this in zip(by_bytes, by_bytes[1:])]
+
+    def pool(self, ranks: np.ndarray) -> _Pool:
+        """The pool holding the strings of ``ranks``, in that order."""
+        entries = self.first[ranks]
+        lengths = self.lengths[entries]
+        offsets = np.zeros(len(entries) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        blob = np.empty(int(offsets[-1]), dtype=np.uint8)
+        starts = self.starts[entries]
+        step = max(_CHUNK_BYTES // (8 * max(int(lengths.max(initial=0)),
+                                            1)), 1)
+        for begin in range(0, len(entries), step):
+            end = min(begin + step, len(entries))
+            low, high = int(offsets[begin]), int(offsets[end])
+            shift = np.repeat(starts[begin:end] - offsets[begin:end],
+                              lengths[begin:end])
+            blob[low:high] = self.blob[shift + np.arange(low, high)]
+        return _Pool(blob, offsets, self.hashes[entries])
+
+
+def _padded_strings(blob: np.ndarray, starts: np.ndarray,
+                    lengths: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` bytes of the strings at ``starts``, as rows
+    of a NUL-padded uint8 matrix."""
+    padded = np.concatenate([blob, np.zeros(width, dtype=np.uint8)])
+    columns = np.arange(width)
+    matrix = np.empty((len(starts), width), dtype=np.uint8)
+    step = max(_CHUNK_BYTES // (8 * width), 1)
+    for begin in range(0, len(starts), step):
+        chunk = padded[starts[begin:begin + step, None] + columns]
+        chunk[columns >= lengths[begin:begin + step, None]] = 0
+        matrix[begin:begin + step] = chunk
+    return matrix
+
+
+def _first_appearance_ids(keys: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ids for ``keys`` numbered by first appearance, and the
+    key each id stands for."""
+    order = np.argsort(keys, kind="stable")
+    starts = _run_starts(keys[order])
+    first = order[starts]  # the stable sort puts each key's first row first
+    by_first = np.argsort(first, kind="stable")
+    id_of = np.empty(len(first), dtype=np.int64)
+    id_of[by_first] = np.arange(len(first))
+    ids = np.empty(len(keys), dtype=np.int64)
+    ids[order] = id_of[np.cumsum(starts) - 1]
+    return ids, keys[first[by_first]]
+
+
+def merge_segments(inputs: Sequence[MergeInput]) -> bytes:
+    """Merge segments into one over their columns; nothing is decoded
+    or hashed again.
+
+    The bytes equal :func:`build_segment_bytes` over the rows a dict
+    merge of ``inputs`` collects — the first occurrence of each RR key
+    in ``inputs`` order wins, as with ``dict.setdefault`` — and over
+    the union of their day lists:
+
+    * the name and RDATA pools merge as bytes into global string
+      ranks, and each string keeps the hash its input stored;
+    * the rows lexsort (stable) into ``rr_sort_key`` order, and the
+      first row of each key is kept;
+    * names and RDATA are renumbered by first appearance, as the row
+      writer numbers them;
+    * the zone and RR filters are the unions of the inputs' filters,
+      because the merged name and key sets are the unions of theirs.
+    """
+    return _write_segment(*_merged_columns(inputs))
+
+
+def _merged_columns(inputs: Sequence[MergeInput]
+                    ) -> Tuple[List[str], _Pool, _Pool, _Rows, np.ndarray,
+                               np.ndarray]:
+    """The arguments of :func:`_write_segment` for a merge (its own
+    frame, so the merged pools' working arrays are freed before
+    packing)."""
+    day_pool = sorted({day for merged in inputs for day in merged.days})
+    day_index = {day: index for index, day in enumerate(day_pool)}
+    names = _MergedPool([_Pool(merged.columns["names_blob"],
+                               merged.columns["names_offsets"],
+                               merged.columns["name_hash_by_id"])
+                         for merged in inputs])
+    rdatas = _MergedPool([_Pool(merged.columns["rdata_blob"],
+                                merged.columns["rdata_offsets"],
+                                merged.columns["rdata_hash_by_id"])
+                          for merged in inputs])
+    name_keys = np.concatenate(
+        [ranks[merged.columns["row_name_ids"]]
+         for ranks, merged in zip(names.ranks, inputs)])
+    rdata_keys = np.concatenate(
+        [ranks[merged.columns["row_rdata_ids"]]
+         for ranks, merged in zip(rdatas.ranks, inputs)])
+    qtypes = np.concatenate([merged.columns["row_qtypes"]
+                             for merged in inputs])
+    day_ids = np.concatenate(
+        [np.array([day_index[day] for day in merged.days],
+                  dtype=np.int32)[merged.columns["row_day_ids"]]
+         for merged in inputs])
+
+    order = np.lexsort((rdata_keys, _QTYPE_RANK[qtypes], name_keys))
+    name_keys = name_keys[order]
+    rdata_keys = rdata_keys[order]
+    qtypes = qtypes[order]
+    keep = _run_starts(name_keys, qtypes, rdata_keys)
+    name_ids, name_ranks = _first_appearance_ids(name_keys[keep])
+    rdata_ids, rdata_ranks = _first_appearance_ids(rdata_keys[keep])
+    return (day_pool, names.pool(name_ranks), rdatas.pool(rdata_ranks),
+            _Rows(name_ids, qtypes[keep], rdata_ids, day_ids[order][keep]),
+            np.concatenate([merged.filters["zone_hashes"]
+                            for merged in inputs]),
+            np.concatenate([merged.filters["rr_hashes"]
+                            for merged in inputs]))
 
 
 # -- reading -----------------------------------------------------------
@@ -426,6 +686,13 @@ class Segment:
                 columns["row_rdata_ids"].tolist(),
                 columns["row_day_ids"].tolist()):
             yield (names[nid], RRTYPE_BY_CODE[qcode], rdatas[rid]), days[did]
+
+    def merge_input(self) -> MergeInput:
+        """Copies of everything :func:`merge_segments` reads."""
+        return MergeInput(days=list(self.meta.days),
+                          columns={key: np.array(column) for key, column
+                                   in self.columns().items()},
+                          filters=self._filters)
 
     def new_counts_by_day(self) -> Dict[str, int]:
         """First-seen rows per accounted day (zero-row days included)."""

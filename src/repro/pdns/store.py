@@ -31,10 +31,12 @@ Residency and compaction
 Opened payloads are kept on a small LRU (``max_resident``); evicted
 segments drop their zero-copy views via
 :meth:`~repro.pdns.segments.Segment.release`, bounding peak memory no
-matter how many segments a query touches.  :meth:`compact` k-way-merges
-segments into one; because segment bytes are a pure function of the
-merged (rows, days) content, any merge order or grouping converges on
-**byte-identical** output.  :meth:`prune` is the operational
+matter how many segments a query touches.  :meth:`compact` merges
+segments into one over their columns
+(:func:`~repro.pdns.segments.merge_segments`: no row is decoded and no
+string hashed again); because segment bytes are a pure function of
+the merged (rows, days) content, any merge order or grouping converges
+on **byte-identical** output.  :meth:`prune` is the operational
 counterpart — it *discards* the oldest segments to fit a byte budget
 (a destructive retention policy, unlike the artifact caches where a
 pruned blob is recomputable).
@@ -64,9 +66,9 @@ from repro.core.container import FormatError
 from repro.core.interning import DayDigest
 from repro.core.records import FpDnsDataset, RpDnsEntry, RRKey
 from repro.pdns.database import IngestReport
-from repro.pdns.segments import (SEGMENT_SUFFIX, Segment,
+from repro.pdns.segments import (SEGMENT_SUFFIX, MergeInput, Segment,
                                  build_segment_bytes, hash64, hash_rr_key,
-                                 open_segment)
+                                 merge_segments, open_segment)
 
 __all__ = ["CompactionReport", "SegmentedPdnsStore", "StoreStats"]
 
@@ -245,17 +247,19 @@ class SegmentedPdnsStore:
         existing roster).
         """
         keys = list(rr_keys)
-        unique: Dict[RRKey, None] = {}
-        for key in keys:
-            unique.setdefault(key)
-        known = self._known_keys(list(unique))
-        fresh = {key: day for key in unique if key not in known}
+        unique = list(dict.fromkeys(keys))
+        hashes = _rr_hashes(unique)
+        known = self._known_keys(unique, hashes)
+        fresh_index = np.array([index for index, key in enumerate(unique)
+                                if key not in known], dtype=np.intp)
+        fresh = {unique[index]: day for index in fresh_index.tolist()}
         if not fresh and any(day in segment.meta.days
                              for segment in self._segments):
             return IngestReport(day=day, total_records_seen=len(keys),
                                 new_records=0,
                                 duplicate_records=len(keys))
-        data = build_segment_bytes(fresh, days=[day])
+        data = build_segment_bytes(fresh, days=[day],
+                                   rr_hashes=hashes[fresh_index])
         key = _segment_key(day, day, data)
         already_listed = {segment.path for segment in self._segments}
         path = self._artifacts.store_bytes(key, data)
@@ -265,12 +269,12 @@ class SegmentedPdnsStore:
                             new_records=len(fresh),
                             duplicate_records=len(keys) - len(fresh))
 
-    def _known_keys(self, candidates: List[RRKey]) -> Set[RRKey]:
-        """Which of ``candidates`` are already stored, prefilter-first."""
+    def _known_keys(self, candidates: List[RRKey],
+                    hashes: np.ndarray) -> Set[RRKey]:
+        """Which of ``candidates`` (RR hashes ``hashes``) are already
+        stored, prefilter-first."""
         if not candidates:
             return set()
-        hashes = np.array([hash_rr_key(key) for key in candidates],
-                          dtype=np.uint64)
         known: Set[RRKey] = set()
         for segment in list(self._segments):
             mask = segment.matching_rr_hashes(hashes)
@@ -393,10 +397,8 @@ class SegmentedPdnsStore:
         (duplicates within the input stay duplicated — callers count
         them).  One prefilter pass instead of a per-key ``in`` loop."""
         keys = list(rr_keys)
-        unique: Dict[RRKey, None] = {}
-        for key in keys:
-            unique.setdefault(key)
-        known = self._known_keys(list(unique))
+        unique = list(dict.fromkeys(keys))
+        known = self._known_keys(unique, _rr_hashes(unique))
         return [key for key in keys if key not in known]
 
     # -- per-day ledger ------------------------------------------------
@@ -433,7 +435,13 @@ class SegmentedPdnsStore:
         The merged segment carries the union of the inputs' rows *and*
         day rosters, so exact first-seen days, zero-record days and
         canonical RR order all survive; its bytes depend only on that
-        merged content, never on merge order or grouping.
+        merged content, never on merge order or grouping.  A key
+        stored twice keeps its first copy in roster order.
+
+        An input that cannot be deleted raises after the roster is
+        re-read, so the store then serves exactly what is on disk
+        (the merged segment and the inputs still there); compacting
+        again once the fault clears converges on the clean result.
         """
         bytes_before = self.storage_bytes()
         mergeable = [segment for segment in self._segments
@@ -442,37 +450,38 @@ class SegmentedPdnsStore:
             return CompactionReport(merged_segments=0, merged_rows=0,
                                     bytes_before=bytes_before,
                                     bytes_after=bytes_before)
-        rows: Dict[RRKey, str] = {}
-        days: Set[str] = set()
+        inputs: List[MergeInput] = []
         merged_paths: List[str] = []
         for segment in mergeable:
-            items = self._with_segment(
-                segment, lambda seg: list(seg.rr_items()))
-            if items is None:
+            copied = self._with_segment(segment, Segment.merge_input)
+            if copied is None:
                 continue  # quarantined mid-compaction (skip mode)
-            for key, day in items:
-                rows.setdefault(key, day)
-            days.update(segment.meta.days)
+            inputs.append(copied)
             merged_paths.append(segment.path)
         if len(merged_paths) < 2:
             return CompactionReport(merged_segments=0, merged_rows=0,
                                     bytes_before=bytes_before,
                                     bytes_after=self.storage_bytes())
-        data = build_segment_bytes(rows, days=sorted(days))
-        merged_key = _segment_key(min(days), max(days), data)
-        self._artifacts.store_bytes(merged_key, data)
-        for path in merged_paths:
-            # An identity merge (every other input contributed nothing,
-            # e.g. a stray empty segment whose day roster duplicates a
-            # sibling's) yields bytes — and therefore a content key —
-            # equal to one input's; deleting that key would destroy the
-            # freshly published output.
-            key = _key_of_path(path)
-            if key != merged_key:
-                self._artifacts.delete(key)
-        self._reload()
+        data = merge_segments(inputs)
+        merged_key = _segment_key(min(copied.days[0] for copied in inputs),
+                                  max(copied.days[-1] for copied in inputs),
+                                  data)
+        merged_path = self._artifacts.store_bytes(merged_key, data)
+        merged_rows = open_segment(str(merged_path)).meta.n_rows
+        try:
+            for path in merged_paths:
+                # An identity merge (every other input contributed
+                # nothing, e.g. a stray empty segment whose day roster
+                # duplicates a sibling's) yields bytes — and therefore a
+                # content key — equal to one input's; deleting that key
+                # would destroy the freshly published output.
+                key = _key_of_path(path)
+                if key != merged_key:
+                    self._artifacts.delete(key)
+        finally:
+            self._reload()
         return CompactionReport(merged_segments=len(merged_paths),
-                                merged_rows=len(rows),
+                                merged_rows=merged_rows,
                                 bytes_before=bytes_before,
                                 bytes_after=self.storage_bytes())
 
@@ -511,6 +520,10 @@ class SegmentedPdnsStore:
         """Zero the prefilter hit/skip counters (bench instrumentation)."""
         self.segments_opened = 0
         self.segments_skipped = 0
+
+
+def _rr_hashes(keys: List[RRKey]) -> np.ndarray:
+    return np.array([hash_rr_key(key) for key in keys], dtype=np.uint64)
 
 
 def _segment_key(days_first: str, days_last: str, data: bytes) -> str:

@@ -7,7 +7,8 @@ from repro.experiments.context import (MEDIUM, SMALL, ExperimentContext,
 from repro.experiments.figures import run_fig02_traffic_volume
 from repro.experiments.validation import validate_calibration
 from repro.traffic.artifacts import FpDnsArtifactCache
-from repro.traffic.simulate import PAPER_DATES, MeasurementDate
+from repro.traffic.simulate import (PAPER_DATES, RPDNS_WINDOW_DATES,
+                                    MeasurementDate)
 
 # Seconds-scale profile for the acceleration-path tests below: they
 # each run the full standard calendar, so the per-day cost must be tiny.
@@ -177,6 +178,27 @@ class TestAcceleratedContext:
         assert again.below == expected.below
         assert again.above == expected.above
         assert len(bounded._datasets) <= 2
+
+    def test_resident_days_bounds_every_per_day_memo(self, tmp_path):
+        """The bound covers the digests, hit-rate tables and mining
+        results too, not only the datasets; evicted memos recompute to
+        an unbounded session's values."""
+        bounded = ExperimentContext(
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path),
+            resident_days=2)
+        tables = [bounded.hit_rates(date) for date in RPDNS_WINDOW_DATES]
+        groups = [bounded.mined_groups(date) for date in PAPER_DATES[:3]]
+        for memo in (bounded._datasets, bounded._digests,
+                     bounded._hit_rates):
+            assert len(memo) <= 2
+        assert len({key.split("@")[0] for key in bounded._mining}) <= 2
+
+        unbounded = ExperimentContext(
+            TINY, artifact_cache=FpDnsArtifactCache(tmp_path))
+        for date, table in zip(RPDNS_WINDOW_DATES, tables):
+            assert table.records() == unbounded.hit_rates(date).records()
+        assert groups == [unbounded.mined_groups(date)
+                          for date in PAPER_DATES[:3]]
 
     def test_release_day_frees_then_reloads(self, tmp_path):
         cache = FpDnsArtifactCache(tmp_path)

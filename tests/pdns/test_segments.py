@@ -9,8 +9,7 @@ from repro.core.records import rr_sort_key
 from repro.dns.message import RRType
 from repro.pdns.io import FormatError
 from repro.pdns.segments import (SEGMENT_MAGIC, build_segment_bytes,
-                                 hash64, hash_rr_key, open_segment,
-                                 zone_ancestors)
+                                 hash64, hash_rr_key, open_segment)
 
 
 def sample_rows():
@@ -151,9 +150,19 @@ class TestPrefilters:
         segment.may_contain_name_hash(hash64("b.other.net"))
         assert not segment.resident
 
-    def test_zone_ancestors(self):
-        assert zone_ancestors("a.b.c.com") == ["b.c.com", "c.com", "com"]
-        assert zone_ancestors("com") == []
+    def test_zone_ancestors(self, tmp_path):
+        """The zone filter holds every proper ancestor of every name,
+        lowercased, and never a name itself or a TLD-only name."""
+        rows = {("a.B.c.com", RRType.A, "10.0.0.1"): "2011-02-22",
+                ("x.c.com", RRType.A, "10.0.0.2"): "2011-02-22",
+                ("org", RRType.A, "10.0.0.3"): "2011-02-22"}
+        path, _ = write_segment(tmp_path, rows=rows)
+        segment = open_segment(str(path))
+        for zone in ("b.c.com", "c.com", "com"):
+            assert segment.may_contain_zone_hash(hash64(zone))
+        for absent in ("a.b.c.com", "a.B.c.com", "B.c.com", "x.c.com",
+                       "org"):
+            assert not segment.may_contain_zone_hash(hash64(absent))
 
 
 class TestCorruptionMatrix:

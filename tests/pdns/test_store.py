@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,10 @@ from repro.dns.message import RRType
 from repro.pdns.database import (PassiveDnsDatabase, PdnsBackend,
                                  wildcard_aggregated_size)
 from repro.pdns.segments import (SEGMENT_MAGIC, SEGMENT_SUFFIX,
-                                 SEGMENT_VERSION, build_segment_bytes)
+                                 SEGMENT_VERSION, build_segment_bytes,
+                                 open_segment)
 from repro.pdns.store import SegmentedPdnsStore
+from tests.oracles.compaction import compacted_bytes
 
 DAYS = [f"2011-04-{day:02d}" for day in range(1, 9)]
 
@@ -254,6 +257,41 @@ class TestCompaction:
         reopened = SegmentedPdnsStore(tmp_path)
         assert dict(reopened.iter_rr_items()) == before
 
+    def test_failed_input_delete_raises_then_recompacts(self, tmp_path,
+                                                        oracle,
+                                                        monkeypatch):
+        """An input that cannot be unlinked fails compact() instead of
+        reporting success; the store then serves what is on disk, and
+        compacting again once the fault clears gives a clean result."""
+        root = tmp_path / "faulty"
+        store = populate(SegmentedPdnsStore(root))
+        real_unlink = Path.unlink
+        failed = []
+
+        def unlink_once_denied(path, *args, **kwargs):
+            if not failed:
+                failed.append(path)
+                raise PermissionError(13, "injected", str(path))
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", unlink_once_denied)
+        with pytest.raises(PermissionError):
+            store.compact()
+        monkeypatch.undo()
+        assert failed[0].exists()
+        on_disk = sorted(root.glob("*.pdnsseg"))
+        # The first failure stops the deletes: every input is left.
+        assert store.stats().n_segments == len(on_disk) == len(DAYS) + 1
+
+        store.compact()
+        assert len(store) == len(oracle)
+        assert store.new_records_per_day() == oracle.new_records_per_day()
+        for key in oracle.rr_keys():
+            assert store.first_seen(key) == oracle.first_seen(key)
+        clean = tmp_path / "clean"
+        populate(SegmentedPdnsStore(clean)).compact()
+        assert self._segment_digests(root) == self._segment_digests(clean)
+
 
 class TestPrefilterCounters:
     def test_point_lookup_skips_most_segments(self, tmp_path):
@@ -353,6 +391,24 @@ class TestCorruption:
             assert keys
             assert [str(bad)] == [path
                                   for path, _ in store.corrupt_segments()]
+
+    def test_skip_mode_compaction_merges_around_a_corrupt_payload(
+            self, tmp_path):
+        """A payload found corrupt mid-compaction is quarantined and
+        left on disk; the rest merge to the dict-merge oracle's bytes."""
+        populate(SegmentedPdnsStore(tmp_path))
+        bad = self._corrupt_one(tmp_path, flip=-4)
+        healthy = [open_segment(str(path))
+                   for path in sorted(tmp_path.glob("*.pdnsseg"))
+                   if path != bad]
+        expected = compacted_bytes(healthy)
+        store = SegmentedPdnsStore(tmp_path, on_corrupt="skip")
+        report = store.compact()
+        assert report.merged_segments == len(DAYS) - 1
+        assert [str(bad)] == [path for path, _ in store.corrupt_segments()]
+        assert bad.exists()
+        merged = sorted(set(tmp_path.glob("*.pdnsseg")) - {bad})
+        assert [path.read_bytes() for path in merged] == [expected]
 
     def test_lazy_payload_corruption_raises_by_default(self, tmp_path):
         populate(SegmentedPdnsStore(tmp_path))

@@ -16,10 +16,13 @@ the repo root:
 * **prefilter effectiveness** — the store's opened/skipped counters
   over the timed point lookups; skipping means a segment answered from
   its sorted-hash prefilters without its payload being touched.
-* **compaction** — full-store compaction is timed, and determinism is
-  re-proven at bench scale: two copies of the segment directory are
-  compacted along different merge schedules and must end up with
-  byte-identical files.
+* **compaction** — a fourth fresh subprocess compacts a copy of the
+  segment directory in one pass, timing it and reporting its
+  ``ru_maxrss`` (recorded with its delta over the baseline probe), and
+  determinism is re-proven at bench scale: a second copy is compacted
+  along a different merge schedule and must end up byte-identical.
+  The SHA-256 of the compacted segment is recorded, so two commits can
+  be checked for identical output.
 
 Timing lives here in ``tools/`` because ``src/repro`` is
 wall-clock-free by the determinism contract (reprolint R001).
@@ -121,10 +124,28 @@ def _best_of(repeats: int, run: Callable[[], object]
 
 # ---------------------------------------------------------------- workers
 
+def run_compact_worker(directory: str) -> int:
+    """Subprocess body: compact the store at ``directory`` in one pass
+    and print its time and peak RSS as JSON on stdout."""
+    store = SegmentedPdnsStore(directory)
+    compact_s, report = _best_of(1, store.compact)
+    print(json.dumps({
+        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "compact_s": round(compact_s, 3),
+        "merged_segments": report.merged_segments,
+        "bytes_before": report.bytes_before,
+        "bytes_after": report.bytes_after,
+    }))
+    return 0
+
+
 def run_worker(kind: str, n_days: int, n_fresh: int, n_stable: int,
                directory: Optional[str]) -> int:
     """Subprocess body: replay the calendar into one backend (or none,
     for the baseline probe) and print peak RSS as JSON on stdout."""
+    if kind == "compact":
+        assert directory is not None, "--worker compact needs --dir"
+        return run_compact_worker(directory)
     rows = 0
     backend: object = None
     if kind == "memory":
@@ -196,11 +217,18 @@ def bench(n_days: int, n_fresh: int, n_stable: int,
         segments_dir = Path(tmp) / "segments"
         segments_dir.mkdir()
 
-        # -- peak memory: one subprocess per backend ----------------------
+        # -- peak memory: one subprocess per backend, and compaction -----
+        # A child's ru_maxrss starts at this process's resident size when
+        # it is spawned (Linux keeps the high-water mark across exec), so
+        # every probe runs before the in-process oracle below is built.
         baseline = _probe("baseline", n_days, n_fresh, n_stable)
         memory = _probe("memory", n_days, n_fresh, n_stable)
         segmented = _probe("segmented", n_days, n_fresh, n_stable,
                            directory=str(segments_dir))
+        one_shot_dir = Path(tmp) / "compact-one-shot"
+        _copy_segments(segments_dir, one_shot_dir)
+        compacted = _probe("compact", n_days, n_fresh, n_stable,
+                           directory=str(one_shot_dir))
         assert memory["db_rows"] == segmented["db_rows"], \
             "backends disagree on unique row count"
         base_kb = int(baseline["ru_maxrss_kb"])
@@ -290,28 +318,33 @@ def bench(n_days: int, n_fresh: int, n_stable: int,
               f"skipped {zone_stats.segments_skipped} segments "
               "(results identical)")
 
-        # -- compaction: timed, and byte-determinism at bench scale -------
-        one_shot_dir = Path(tmp) / "compact-one-shot"
+        # -- compaction (probed above): byte-determinism at bench scale --
         staged_dir = Path(tmp) / "compact-staged"
-        _copy_segments(segments_dir, one_shot_dir)
         _copy_segments(segments_dir, staged_dir)
         one_shot = SegmentedPdnsStore(one_shot_dir)
-        compact_s, report = _best_of(1, one_shot.compact)
         staged = SegmentedPdnsStore(staged_dir)
         staged.compact(max_rows=max(len(staged) // 3, 1))
         staged.compact()
-        assert _segment_digests(one_shot_dir) == _segment_digests(staged_dir), \
+        digests = _segment_digests(one_shot_dir)
+        assert digests == _segment_digests(staged_dir), \
             "compaction output depends on merge order"
         assert one_shot.new_records_per_day() == oracle.new_records_per_day(), \
             "compaction changed the first-seen ledger"
-        results["compact_s"] = round(compact_s, 3)
-        results["compact_merged_segments"] = report.merged_segments
-        results["compact_bytes_before"] = report.bytes_before
-        results["compact_bytes_after"] = report.bytes_after
-        print(f"compaction: merged {report.merged_segments} segments in "
-              f"{compact_s:.2f}s ({report.bytes_before} -> "
-              f"{report.bytes_after} bytes; byte-identical across merge "
-              "schedules)")
+        compact_s = float(compacted["compact_s"])
+        compact_delta_kb = max(int(compacted["ru_maxrss_kb"]) - base_kb, 1)
+        results["compact_s"] = compact_s
+        results["compact_merged_segments"] = compacted["merged_segments"]
+        results["compact_bytes_before"] = compacted["bytes_before"]
+        results["compact_bytes_after"] = compacted["bytes_after"]
+        results["compact_sha256"] = digests
+        results["peak_rss_compact_kb"] = compacted["ru_maxrss_kb"]
+        results["peak_rss_delta_compact_kb"] = compact_delta_kb
+        print(f"compaction: merged {compacted['merged_segments']} segments "
+              f"in {compact_s:.2f}s, peak RSS "
+              f"{compact_delta_kb / 1024:.0f} MiB over the baseline "
+              f"({compacted['bytes_before']} -> "
+              f"{compacted['bytes_after']} bytes; byte-identical across "
+              "merge schedules)")
 
     if (os.cpu_count() or 1) == 1:
         results["constrained"] = True
@@ -326,7 +359,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--output", type=Path, default=OUTPUT,
                         help=f"where to write results (default {OUTPUT})")
     parser.add_argument("--worker",
-                        choices=["baseline", "memory", "segmented"],
+                        choices=["baseline", "memory", "segmented",
+                                 "compact"],
                         help=argparse.SUPPRESS)  # internal: RSS probe body
     parser.add_argument("--days", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--fresh", type=int, help=argparse.SUPPRESS)
